@@ -3,9 +3,10 @@
 Three cooperating pieces:
 
 * :class:`MovementOrchestrator` — the central control-plane module: it
-  owns per-host remote-bandwidth budgets (token buckets), records the
-  rack-scale traffic matrix the paper says memory fabrics create, and
-  hosts one migration agent per memory domain;
+  owns per-host remote-bandwidth budgets (lazily refilled
+  :class:`TokenBucket` s), records the rack-scale traffic matrix the
+  paper says memory fabrics create, and hosts one migration agent per
+  memory domain;
 * :class:`MigrationAgent` — the executor for delegated transactions in
   one memory domain, draining a priority queue so urgent moves pass
   bulk ones;
@@ -17,15 +18,198 @@ Three cooperating pieces:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generator, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Generator, Optional, Tuple
 
 from .. import params
-from ..sim import Container, Environment, Event, PriorityStore
+from ..sim import Environment, Event, PriorityStore
 from ..telemetry import span
 from ..telemetry.causal import QUEUEING
 from .etrans import ETrans, ETransHandle, ElasticTransactionEngine, _finish
 
-__all__ = ["MovementOrchestrator", "MigrationAgent", "SequentialPrefetcher"]
+__all__ = ["MovementOrchestrator", "MigrationAgent", "SequentialPrefetcher",
+           "TokenBucket"]
+
+#: Refill quantum of the bandwidth buckets (ns).
+QUANTUM_NS = 100.0
+#: Below this, integral float times step by 100.0 without rounding.
+_EXACT_LIMIT = float(2 ** 53) - 2 * QUANTUM_NS
+
+
+class TokenBucket:
+    """One host's remote-bandwidth budget, refilled lazily.
+
+    The budget refills at 100 ns quantum boundaries: each adds
+    ``rate * 100.0 / 1000.0`` bytes, clipped at ``capacity``.  No
+    kernel event marks a boundary.  The level is worked out when it is
+    read, by replaying the boundaries passed since the last read in a
+    plain loop, with the float expressions, in the order, of a process
+    that woke every quantum and put the tokens into a ``Container``:
+    ``space = capacity - level``; if ``space > 0``, ``level +=
+    min(per_quantum, space)`` under the put guard ``level + amount <=
+    capacity``.  A refill that fails the guard stalls, as a blocked put
+    would, until a get makes room; the boundaries then restart one
+    quantum after that get.  Boundaries step by repeated ``+= 100.0``
+    from the attach time, so an off-grid attach replays exactly.
+
+    A get that fits, with nobody waiting, is granted at once with one
+    event.  Otherwise it waits in FIFO order, and only the head waiter
+    arms a wake-up: one timeout at the first boundary where the
+    replayed level covers it.  A grant or a retune re-arms; a wake-up
+    armed before that carries an old generation number and is ignored.
+
+    Same-timestamp rule: a boundary at exactly ``now`` counts as
+    already refilled.  A refill process schedules its tick one quantum
+    ahead, so that tick runs before every event scheduled within the
+    last quantum.  That covers the chunk loop of
+    :meth:`~repro.core.etrans.ElasticTransactionEngine.execute`, and
+    heap migration, which goes from the heap loop through a lock grant
+    to a new process.  The known limit is a get issued by an event
+    scheduled more than one quantum ahead that lands exactly on a
+    boundary: a refill process would have served it before that
+    boundary's refill, this bucket serves it after.  The grant time is
+    the same; the level after it can differ in the last float bit, or
+    by the clipped part of the refill when the bucket was nearly full.
+    """
+
+    __slots__ = ("env", "capacity", "rate", "_level", "_next_tick",
+                 "_stalled", "_waiters", "_generation")
+
+    def __init__(self, env: Environment, capacity: float,
+                 rate: float) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be > 0, got {capacity}")
+        _check_rate(rate)
+        self.env = env
+        self.capacity = capacity
+        #: Refill rate in bytes per microsecond.
+        self.rate = rate
+        self._level = float(capacity)
+        self._next_tick = env.now + QUANTUM_NS
+        #: Tokens of a refill that failed the put guard, else None.
+        self._stalled: Optional[float] = None
+        self._waiters: Deque[Tuple[float, Event]] = deque()
+        self._generation = 0
+
+    @property
+    def level(self) -> float:
+        """Tokens available now (boundaries at ``now`` included)."""
+        self._settle()
+        return self._level
+
+    def get(self, amount: float) -> Event:
+        """An event that fires once ``amount`` tokens are taken."""
+        if amount <= 0:
+            raise ValueError(f"amount must be > 0, got {amount}")
+        self._settle()
+        waiters = self._waiters
+        if not waiters and amount <= self._level:
+            self._level -= amount
+            if self._stalled is not None:
+                self._unstall()
+            return self.env.timeout(0.0)
+        event = self.env.event()
+        waiters.append((amount, event))
+        if len(waiters) == 1:
+            self._arm()
+        return event
+
+    def set_rate(self, rate: float) -> None:
+        """Settle at the old rate, then refill at ``rate`` from the next
+        boundary on."""
+        _check_rate(rate)
+        self._settle()
+        self.rate = rate
+        self._arm()
+
+    def _settle(self) -> None:
+        """Replay the boundaries up to ``now``; grant the waiters that fit."""
+        now = self.env.now
+        tick = self._next_tick
+        if tick > now or self._stalled is not None:
+            return
+        capacity = self.capacity
+        level = self._level
+        per_quantum = self.rate * QUANTUM_NS / 1000.0
+        waiters = self._waiters
+        granted = False
+        while tick <= now:
+            space = capacity - level
+            if space <= 0:
+                # Full: nothing refills until a get, so later boundaries
+                # up to now are no-ops.
+                tick = _first_tick_after(tick, now)
+                break
+            amount = min(per_quantum, space)
+            if level + amount > capacity:
+                self._stalled = amount
+                break
+            level += amount
+            while waiters and waiters[0][0] <= level:
+                need, event = waiters.popleft()
+                level -= need
+                event.succeed()
+                granted = True
+            tick += QUANTUM_NS
+        self._level = level
+        self._next_tick = tick
+        if granted:
+            self._arm()
+
+    def _unstall(self) -> None:
+        """Land a stalled refill once a get has made room for it."""
+        if self._level + self._stalled <= self.capacity:
+            self._level += self._stalled
+            self._stalled = None
+            self._next_tick = self.env.now + QUANTUM_NS
+
+    def _arm(self) -> None:
+        """Schedule the head waiter's wake-up at the boundary that
+        covers it (none if the refill stalls or fills up first)."""
+        self._generation += 1
+        waiters = self._waiters
+        if not waiters or self._stalled is not None:
+            return
+        need = waiters[0][0]
+        capacity = self.capacity
+        level = self._level
+        per_quantum = self.rate * QUANTUM_NS / 1000.0
+        tick = self._next_tick
+        while True:
+            space = capacity - level
+            if space <= 0:
+                return
+            amount = min(per_quantum, space)
+            if level + amount > capacity:
+                return
+            level += amount
+            if need <= level:
+                break
+            tick += QUANTUM_NS
+        wake = self.env.timeout_at(tick, self._generation)
+        wake.callbacks.append(self._wake)
+
+    def _wake(self, event: Event) -> None:
+        if event.value == self._generation:
+            self._settle()
+
+
+def _check_rate(rate: float) -> None:
+    # A bucket that never refills would make the wake-up search endless.
+    if not rate > 0:
+        raise ValueError(f"refill rate must be > 0 bytes/us, got {rate}")
+
+
+def _first_tick_after(tick: float, now: float) -> float:
+    """The first of ``tick``, ``tick + 100.0``, ... (stepped by repeated
+    addition) that is later than ``now``."""
+    if tick == int(tick) and now < _EXACT_LIMIT:
+        # Integral boundaries step exactly, so jump (at most to the
+        # answer: rounding can only raise the quotient to it).
+        tick += QUANTUM_NS * ((now - tick) // QUANTUM_NS)
+    while tick <= now:
+        tick += QUANTUM_NS
+    return tick
 
 
 class MigrationAgent:
@@ -93,7 +277,7 @@ class MovementOrchestrator:
         self.pacing_ns = 0.0
         self._agents: Dict[str, MigrationAgent] = {}
         self._engines: Dict[str, ElasticTransactionEngine] = {}
-        self._buckets: Dict[str, Container] = {}
+        self._buckets: Dict[str, TokenBucket] = {}
         # (src region name, dst region name) -> bytes moved
         self.traffic_matrix: Dict[Tuple[str, str], int] = {}
         self.bytes_moved = 0
@@ -119,11 +303,8 @@ class MovementOrchestrator:
             self._tel.add_probe(f"movement.{host.name}.agent_backlog",
                                 agent.backlog, track="movement")
         if self.remote_bw_bytes_per_us is not None:
-            bucket = Container(self.env, capacity=self.burst_bytes,
-                               init=self.burst_bytes)
-            self._buckets[host.name] = bucket
-            self.env.process(self._refill(bucket),
-                             name=f"{host.name}.bw-refill", daemon=True)
+            self._buckets[host.name] = TokenBucket(
+                self.env, self.burst_bytes, self.remote_bw_bytes_per_us)
         return engine
 
     def engine(self, host_name: str) -> ElasticTransactionEngine:
@@ -181,9 +362,10 @@ class MovementOrchestrator:
         """Retune the token-bucket refill rate on a throttled service.
 
         Only valid when the orchestrator was constructed with a
-        bandwidth budget (buckets exist per attached host); the refill
-        loops re-read the rate each quantum, so the new rate takes
-        effect at the next 100 ns refill tick.
+        bandwidth budget (buckets exist per attached host).  Every
+        bucket is settled at the old rate up to and including ``now``;
+        the new rate refills from the next 100 ns boundary on, and a
+        blocked head waiter's wake-up moves to match.
         """
         if bytes_per_us <= 0:
             raise ValueError(
@@ -192,19 +374,9 @@ class MovementOrchestrator:
             raise ValueError(
                 "orchestrator has no bandwidth buckets to retune; "
                 "construct it with remote_bw_bytes_per_us= to throttle")
+        for bucket in self._buckets.values():
+            bucket.set_rate(bytes_per_us)
         self.remote_bw_bytes_per_us = bytes_per_us
-
-    def _refill(self, bucket: Container) -> Generator[Event, None, None]:
-        quantum_ns = 100.0
-        while True:
-            yield self.env.timeout(quantum_ns)
-            # Re-read the rate each quantum so set_remote_bw() acts at
-            # the next tick rather than whatever rate start-up saw.
-            per_quantum = self.remote_bw_bytes_per_us \
-                * quantum_ns / 1000.0
-            space = bucket.capacity - bucket.level
-            if space > 0:
-                yield bucket.put(min(per_quantum, space))
 
     def format_traffic_matrix(self) -> str:
         lines = ["traffic matrix (src region -> dst region, bytes):"]

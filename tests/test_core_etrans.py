@@ -175,11 +175,15 @@ class TestThrottling:
                 yield handle.wait()
                 return env.now - start
 
-            return run(env, go())
+            return run(env, go()), env.stats["events_processed"]
 
-        fast = elapsed(1_000_000.0)
-        slow = elapsed(1_000.0)
+        fast, fast_events = elapsed(1_000_000.0)
+        slow, slow_events = elapsed(1_000.0)
         assert slow > 2 * fast
+        # The bucket refills lazily: throttling costs at most one
+        # wake-up per blocked 4 KiB chunk, not one event per 100 ns of
+        # simulated time (the run above goes on to a 500 ms horizon).
+        assert slow_events <= fast_events + (256 * 1024) // 4096
 
     def test_duplicate_host_attach_rejected(self):
         env = Environment()
