@@ -19,20 +19,6 @@ steady-state step — pop an event, run its single ``Process._resume``
 callback, let the process yield the next ``Timeout`` — is aggressively
 optimised:
 
-* When a timestamp bucket holds several NORMAL events and no pending
-  URGENT work, :meth:`Environment.run` drains the whole
-  ``(time, priority)`` run in one *batch*: a snapshot of the bucket is
-  dispatched through a tight loop with bound locals, and the ubiquitous
-  single-``Process._resume``-waiter shape is inlined (no callback
-  frame, cached ``generator.send``).  Batch order is exactly the
-  bucket's append order — i.e. seq order — URGENT arrivals are still
-  re-checked between events, and every identity-relevant side effect
-  (tombstone handling, pooling guards, failure surfacing) is the same
-  code path semantics as the scalar loop, so scheduling stays
-  bit-identical with batching on or off.  ``Environment(batch=False)``
-  (or ``REPRO_BATCH=0``) forces the scalar reference loop; sanitized
-  runs always use it.
-
 * ``Timeout`` objects (and the internal ``_Hook`` events used to start
   processes, deliver interrupts and re-fire already-processed events)
   are recycled through per-environment free lists, together with their
@@ -51,6 +37,11 @@ optimised:
   skipping the ``isinstance``/cross-environment checks of the general
   path.
 * ``Environment.run`` inlines the dispatch loop with bound locals.
+  It is the only dispatch loop.  ``Environment(batch=...)`` (default
+  from ``REPRO_BATCH``) does not change it: the flag gates only the
+  vectorized fabric paths (link flit transport, credit return, switch
+  egress sweep), whose ``batch=False`` scalar reference they must
+  match bit for bit.
 
 None of this changes observable scheduling: pooled events consume the
 same sequence numbers as freshly allocated ones, so the
@@ -68,7 +59,6 @@ from sys import getrefcount
 # Wall-clock is only read for Environment.stats busy-time counters; it
 # never feeds back into scheduling.
 from time import perf_counter   # fcc: allow[wall-clock]
-from types import MethodType
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -96,8 +86,8 @@ _INF = float("inf")
 #: The per-environment default; override with Environment(pool_limit=...).
 _POOL_LIMIT = 512
 
-#: Process-wide default for Environment(batch=...): batched dispatch is
-#: on unless REPRO_BATCH=0/off/false/no (the scalar reference loop).
+#: Process-wide default for Environment(batch=...): the vectorized fabric
+#: paths are on unless REPRO_BATCH=0/off/false/no (their scalar reference).
 _BATCH_DEFAULT = environ.get("REPRO_BATCH", "1").strip().lower() \
     not in ("0", "off", "false", "no")
 
@@ -108,7 +98,7 @@ def batch_default() -> bool:
 
 
 def set_batch_default(enabled: bool) -> None:
-    """Set the process-wide batching default (existing envs unaffected)."""
+    """Set the process-wide ``batch`` default (existing envs unaffected)."""
     global _BATCH_DEFAULT
     _BATCH_DEFAULT = bool(enabled)
 
@@ -237,8 +227,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:   # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = delay
         self._ok = True
@@ -521,7 +511,7 @@ class Environment:
                  "_pending", "_events_processed", "_peak_queue",
                  "_busy_seconds", "_sanitizer", "_telemetry",
                  "_batch", "_pool_limit", "_pool_hits", "_pool_misses",
-                 "_elided", "_drain_batch", "_drain_iter", "_drain_until")
+                 "_elided")
 
     def __init__(self, initial_time: float = 0.0, *,
                  sanitize: bool = False,
@@ -544,17 +534,10 @@ class Environment:
         self._events_processed = 0
         self._peak_queue = 0
         self._busy_seconds = 0.0
-        # Batched dispatch (None: the process-wide default, see
-        # set_batch_default / REPRO_BATCH).  Bit-identical to the
-        # scalar loop; sanitized runs ignore it and stay scalar.
+        # Vectorized fabric paths (None: the process-wide default, see
+        # set_batch_default / REPRO_BATCH).  The kernel itself ignores
+        # it; the link and switch models read it through ``batch``.
         self._batch = _BATCH_DEFAULT if batch is None else bool(batch)
-        # Live batched-dispatch snapshot (run() only).  Scheduling an
-        # URGENT wakeup — or triggering the run's until_event — while a
-        # batch drains truncates the snapshot at the current position,
-        # so preemption points are honoured without a per-event check.
-        self._drain_batch: Optional[list] = None
-        self._drain_iter: Any = None
-        self._drain_until: Optional[Event] = None
         if pool_limit is None:
             pool_limit = _POOL_LIMIT
         elif pool_limit < 0:
@@ -612,7 +595,7 @@ class Environment:
 
     @property
     def batch(self) -> bool:
-        """Whether batched dispatch (and vectorized fabric paths) is on."""
+        """Whether the vectorized fabric paths are on."""
         return self._batch
 
     @property
@@ -623,7 +606,7 @@ class Environment:
         inside :meth:`run`/:meth:`step` (simulated time never touches a
         wall clock); it is the perf-harness headline number.
         ``events_processed`` includes elided-but-credited events (see
-        :meth:`credit_elided`) so it is bit-identical with batching on
+        :meth:`credit_elided`) so it is bit-identical with ``batch`` on
         or off; ``events_elided`` says how many were credited.
         """
         busy = self._busy_seconds
@@ -659,25 +642,6 @@ class Environment:
         event._scheduled = True
         self._bucket(self._now + delay)[priority].append(event)
         self._pending += 1
-        batch = self._drain_batch
-        if batch is not None and (
-                priority == URGENT or
-                ((u := self._drain_until) is not None
-                 and u._value is not _PENDING)):
-            self._truncate_drain(batch)
-
-    def _truncate_drain(self, batch: list) -> None:
-        """Cut the live batched-dispatch snapshot at the current event.
-
-        Called when an URGENT wakeup lands (or the run's until_event
-        triggers) mid-batch: everything after the event currently being
-        dispatched is dropped from the snapshot, so the batch loop
-        exits after finishing it — exactly where the scalar loop's
-        per-event preemption checks would have stopped.  Spurious cuts
-        are harmless: the remaining events re-dispatch through the
-        scalar loop in identical order.
-        """
-        del batch[len(batch) - self._drain_iter.__length_hint__():]
 
     def _schedule_hook(self, callback: Callable[[Event], None],
                        priority: int, ok: bool, value: Any) -> "_Hook":
@@ -707,12 +671,6 @@ class Environment:
             self._pool_misses += 1
         self._bucket(self._now)[priority].append(hook)
         self._pending += 1
-        batch = self._drain_batch
-        if batch is not None and (
-                priority == URGENT or
-                ((u := self._drain_until) is not None
-                 and u._value is not _PENDING)):
-            self._truncate_drain(batch)
         return hook
 
     def _schedule_hook_at(self, time: float,
@@ -751,12 +709,11 @@ class Environment:
     def credit_elided(self, n: int) -> None:
         """Account ``n`` scalar-path events a vectorized path elided.
 
-        The batched fabric paths collapse deterministic event chains
+        The vectorized fabric paths collapse deterministic event chains
         (serialize → propagate → deliver per flit) into closed-form
         schedules; the chain length is known exactly, so crediting it
         keeps ``events_processed`` (and the process-wide total) bit-
-        identical between batched and scalar runs while the wall clock
-        drops.
+        identical with ``batch`` on or off while the wall clock drops.
         """
         self._elided += n
         self._events_processed += n
@@ -770,8 +727,8 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """A :class:`Timeout` from the free list (allocates only when empty)."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:   # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay}")
         if self._sanitizer is not None:
             # Sanitized path: full construction so the sanitizer sees
             # the event's whole lifecycle (recycling is disabled too).
@@ -818,7 +775,7 @@ class Environment:
         resume precisely where the scalar event chain would have.
         """
         now = self._now
-        if time < now:
+        if not time >= now:   # also rejects NaN
             raise ValueError(f"timeout_at({time}) is in the past "
                              f"(now={now})")
         if self._sanitizer is not None:
@@ -949,7 +906,7 @@ class Environment:
         first — so wall-clock-style bookkeeping against ``env.now`` is
         branch-independent.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:  # also NaN
             raise ValueError(f"until={until} is in the past (now={self._now})")
         stop = until if until is not None else _INF
         times = self._times
@@ -958,17 +915,11 @@ class Environment:
         hook_pool = self._hook_pool
         timeout_cls = Timeout
         hook_cls = _Hook
-        process_cls = Process
-        method_type = MethodType
-        resume_fn = Process._resume
         refcount = getrefcount
         pool_limit = self._pool_limit
         pending_sentinel = _PENDING
         san = self._sanitizer
-        use_batch = self._batch and san is None
-        use_pool = pool_limit > 0
         check_event = until_event is not None
-        self._drain_until = until_event
         processed = 0
         done = False
         t0 = perf_counter()
@@ -991,197 +942,6 @@ class Environment:
                 nlen = len(normal)
                 try:
                     while True:
-                        if use_batch and not urgent and \
-                                (nlen := len(normal)) - ni >= 4:
-                            # Batched dispatch: drain this whole
-                            # (time, NORMAL) run through a snapshot
-                            # loop.  Iteration order is the bucket's
-                            # append order — exactly seq order.  The
-                            # scalar loop's per-event preemption
-                            # checks (URGENT arrivals, until_event
-                            # triggering) are enforced by the
-                            # scheduler instead: _schedule /
-                            # _schedule_hook truncate the registered
-                            # snapshot at the current position, which
-                            # ends this loop after the in-flight
-                            # event — the same place the scalar loop
-                            # would stop — at zero per-event cost.
-                            # The cursor and the processed counter
-                            # advance once per exit (the consumed
-                            # count falls out of len(batch) and the
-                            # iterator's remaining length).
-                            batch = normal[ni:nlen]
-                            batch_iter = iter(batch)
-                            self._drain_batch = batch
-                            self._drain_iter = batch_iter
-                            try:
-                                for event in batch_iter:
-                                    callbacks = event.callbacks
-                                    event.callbacks = None
-                                    waiter = event._waiter
-                                    if waiter is not None:
-                                        event._waiter = None
-                                        if waiter.__class__ \
-                                                is method_type \
-                                                and waiter.__func__ \
-                                                is resume_fn:
-                                            # Inlined Process._resume
-                                            # for the single-waiter
-                                            # shape: no callback frame,
-                                            # cached generator
-                                            # send/throw.
-                                            proc = waiter.__self__
-                                            if proc._value \
-                                                    is pending_sentinel:
-                                                target = proc._target
-                                                if target is not event \
-                                                        and target \
-                                                        is not None \
-                                                        and target.callbacks \
-                                                        is not None:
-                                                    proc._detach(target)
-                                                proc._target = None
-                                                # Drop the local ref so
-                                                # the pooling refcount
-                                                # guard below sees only
-                                                # the kernel's
-                                                # references.
-                                                target = None
-                                                self._active_process = \
-                                                    proc
-                                                try:
-                                                    if event._ok:
-                                                        nxt = proc._send(
-                                                            event._value)
-                                                    else:
-                                                        nxt = proc._throw(
-                                                            event._value)
-                                                except StopIteration \
-                                                        as stop_:
-                                                    if proc._value is \
-                                                            pending_sentinel:
-                                                        proc._ok = True
-                                                        proc._value = \
-                                                            stop_.value
-                                                        self._schedule(
-                                                            proc, NORMAL)
-                                                except BaseException \
-                                                        as exc:
-                                                    if proc._value is \
-                                                            pending_sentinel:
-                                                        proc._ok = False
-                                                        proc._value = exc
-                                                        self._schedule(
-                                                            proc, NORMAL)
-                                                else:
-                                                    if nxt.__class__ \
-                                                            is timeout_cls \
-                                                            and (cbs2 :=
-                                                                 nxt.callbacks) \
-                                                            is not None:
-                                                        if nxt._waiter \
-                                                                is None \
-                                                                and not cbs2:
-                                                            nxt._waiter = \
-                                                                waiter
-                                                        else:
-                                                            proc._cb_index = \
-                                                                len(cbs2)
-                                                            cbs2.append(
-                                                                waiter)
-                                                        proc._target = nxt
-                                                    else:
-                                                        proc._wait_slow(nxt)
-                                        else:
-                                            # Plain-callable waiter: it
-                                            # must observe the same
-                                            # active_process the scalar
-                                            # loop would give it (None
-                                            # — no resume in flight).
-                                            self._active_process = None
-                                            waiter(event)
-                                        if callbacks:
-                                            self._active_process = None
-                                            for callback in callbacks:
-                                                if callback is not None:
-                                                    callback(event)
-                                    else:
-                                        self._active_process = None
-                                        fired = False
-                                        for callback in callbacks:
-                                            if callback is not None:
-                                                callback(event)
-                                                fired = True
-                                        if not fired and not event._ok \
-                                                and not isinstance(
-                                                    event, process_cls):
-                                            event._processed = True
-                                            raise event._value
-                                    # Recycle when the kernel holds the
-                                    # last references: the bucket slot,
-                                    # the batch snapshot slot, local
-                                    # `event`, and getrefcount's
-                                    # argument.  The pool cap is
-                                    # enforced by a single trim after
-                                    # the batch (pool membership is
-                                    # never model-visible), and the
-                                    # processed flag is only written
-                                    # when the event survives — a
-                                    # recycled event has provably no
-                                    # model references left to observe
-                                    # it, and the next pool pop resets
-                                    # the flag anyway.
-                                    if event.__class__ is timeout_cls:
-                                        if use_pool \
-                                                and refcount(event) == 4:
-                                            if callbacks:
-                                                callbacks.clear()
-                                            event.callbacks = callbacks
-                                            timeout_pool.append(event)
-                                        else:
-                                            event._processed = True
-                                    elif event.__class__ is hook_cls:
-                                        if use_pool \
-                                                and refcount(event) == 4:
-                                            if callbacks:
-                                                callbacks.clear()
-                                            event.callbacks = callbacks
-                                            hook_pool.append(event)
-                                        else:
-                                            event._processed = True
-                                    else:
-                                        event._processed = True
-                            except BaseException:
-                                # The raising event counts as consumed
-                                # (the scalar loop advances its cursor
-                                # before dispatching) so the cleanup
-                                # below drops it and a re-entered run
-                                # cannot re-fire it.
-                                k = len(batch) \
-                                    - batch_iter.__length_hint__()
-                                ni += k
-                                processed += k
-                                self._drain_batch = None
-                                self._drain_iter = None
-                                self._active_process = None
-                                if len(timeout_pool) > pool_limit:
-                                    del timeout_pool[pool_limit:]
-                                if len(hook_pool) > pool_limit:
-                                    del hook_pool[pool_limit:]
-                                raise
-                            # Exhausted (possibly truncated): every
-                            # event still in the snapshot was consumed.
-                            k = len(batch)
-                            ni += k
-                            processed += k
-                            self._drain_batch = None
-                            self._drain_iter = None
-                            self._active_process = None
-                            if len(timeout_pool) > pool_limit:
-                                del timeout_pool[pool_limit:]
-                            if len(hook_pool) > pool_limit:
-                                del hook_pool[pool_limit:]
-                            continue
                         if check_event and \
                                 until_event._value is not pending_sentinel:
                             done = True
@@ -1268,7 +1028,6 @@ class Environment:
                 if done:
                     break
         finally:
-            self._drain_until = None
             self._busy_seconds += perf_counter() - t0
             self._events_processed += processed
             self._pending -= processed

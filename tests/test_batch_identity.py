@@ -1,13 +1,14 @@
-"""Bit-identity pins for batched dispatch and the vectorized fast paths.
+"""Bit-identity pins for the vectorized fabric fast paths.
 
-Batched same-timestamp dispatch (``Environment(batch=True)``), the
-link layer's vectorized flit transport, the credit-return fast path,
-and the switch's batched egress sweep all promise the same thing: the
-observable simulation — every timestamp, every counter, and
-``events_processed`` itself (elided events are credited in the time
-bucket where the scalar path would have dispatched them) — is
-bit-identical to the scalar reference loop.  These tests run the same
-models both ways and compare, including runs truncated mid-batch by a
+``Environment(batch=True)`` turns on the link layer's vectorized flit
+transport, the credit-return fast path, and the switch's batched
+egress sweep; ``batch=False`` selects their scalar reference (the
+kernel's dispatch loop is the same either way).  They all promise the
+same thing: the observable simulation — every timestamp, every
+counter, and ``events_processed`` itself (elided events are credited
+in the time bucket where the scalar path would have dispatched them)
+— is bit-identical to the scalar reference.  These tests run the same
+models both ways and compare, including runs cut short by a
 ``run(until=...)`` horizon.
 """
 

@@ -552,3 +552,52 @@ def test_run_proc_horizon_raises():
 
     with pytest.raises(RuntimeError):
         run_proc(env, forever(), horizon=100)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_urgent_preemption_and_until_event_reentry(batch):
+    # Six NORMAL timeouts share one timestamp.  The second starts a
+    # child (an URGENT initialize, which must run before the rest of
+    # the NORMAL backlog) and the fourth triggers the until_event (the
+    # run must stop right after it).  Re-entering run() must dispatch
+    # the remaining two exactly once each.
+    env = Environment(batch=batch)
+    stop = env.event()
+    log = []
+
+    def child():
+        log.append("child")
+        yield env.timeout(1.0)
+
+    def worker(i):
+        yield env.timeout(10.0)
+        log.append(i)
+        if i == 1:
+            env.process(child())
+        if i == 3:
+            stop.succeed("stopped")
+
+    for i in range(6):
+        env.process(worker(i))
+    assert env.run(until_event=stop) == "stopped"
+    assert log == [0, 1, "child", 2, 3]
+    assert env.now == 10.0
+    # 6 starts + 4 timeouts + the child's start.
+    assert env.stats["events_processed"] == 11
+    env.run()
+    assert log == [0, 1, "child", 2, 3, 4, 5]
+    assert env.now == 11.0
+    # + 2 timeouts, 6 worker exits, stop, the child's timeout and exit.
+    assert env.stats["events_processed"] == 22
+
+
+@pytest.mark.parametrize("call", [
+    lambda env: env.timeout(float("nan")),
+    lambda env: env.timeout_at(float("nan")),
+    lambda env: env.run(until=float("nan")),
+], ids=["timeout", "timeout_at", "run_until"])
+def test_nan_times_rejected(call):
+    env = Environment()
+    with pytest.raises(ValueError):
+        call(env)
+    assert env.now == 0.0
