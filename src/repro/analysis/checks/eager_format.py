@@ -1,8 +1,8 @@
 """FCC006: eager string formatting in per-event telemetry calls.
 
-Telemetry and trace sinks — ``tracer.record(...)``, ``span(env, ...)``,
-``telemetry.instant(...)``, ``counter.inc(...)``,
-``histogram.observe(...)`` — sit on simulation hot paths and run once
+Telemetry sinks — ``telemetry.instant(...)``, ``span(env, ...)``,
+``counter.inc(...)``, ``histogram.observe(...)`` and any
+``.record(...)`` — sit on simulation hot paths and run once
 *per event*.  Formatting a string argument at the call site
 (an f-string, ``"%" %`` or ``"...".format(...)``) pays the formatting
 cost on every event even though the sink just stores the value, and on
@@ -75,11 +75,11 @@ class EagerFormatCheck(LintCheck):
         "no-op into allocation on the hot path.  Hoist the formatting to "
         "construction time or pass the raw value.")
     example_fix = (
-        "bad:   tracer.record(env.now, f\"fwd {flit!r}\")   # per-event "
-        "repr\n"
-        "good:  self._site = f\"pcie.{name}.egress\"         # once, in "
+        "bad:   telemetry.instant(f\"{self.name}.drop\")   # per-event "
+        "format\n"
+        "good:  self._drop = f\"pcie.{name}.drop\"        # once, in "
         "__init__\n"
-        "       tracer.record(env.now, self._site)")
+        "       telemetry.instant(self._drop)")
 
     def violations(self, source: SourceFile,
                    tree: ast.Module) -> Iterator[Violation]:

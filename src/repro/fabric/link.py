@@ -26,7 +26,7 @@ except ImportError:      # pragma: no cover - numpy ships with the toolchain
     _np = None
 
 from .. import params
-from ..sim import Container, Environment, Event, SimRng, Store, Tracer
+from ..sim import Container, Environment, Event, SimRng, Store
 from ..telemetry.causal import CREDIT_STALL, QUEUEING, SERIALIZATION, WIRE
 from .flit import Channel, Flit
 from .phys import PhysicalLayer
@@ -59,7 +59,6 @@ class LinkLayer:
                  link_params: Optional[params.LinkParams] = None,
                  vcs: int = 2,
                  name: str = "link",
-                 tracer: Optional[Tracer] = None,
                  overcommit: float = 1.0,
                  credit_update_ns: float = params.CREDIT_UPDATE_INTERVAL_NS,
                  control_lane: bool = False,
@@ -76,12 +75,10 @@ class LinkLayer:
         self.params = link_params or params.LinkParams()
         self.name = name
         self.vcs = vcs
-        self.tracer = tracer
         self.credit_update_ns = credit_update_ns
         self.error_rate = error_rate
         self.rng = rng or SimRng(0)
-        self.phys = PhysicalLayer(env, self.params, name=f"{name}.phys",
-                                  tracer=tracer)
+        self.phys = PhysicalLayer(env, self.params, name=f"{name}.phys")
 
         initial = int(self.params.credits * overcommit)
         self._credit_pools: List[Container] = [
@@ -139,7 +136,6 @@ class LinkLayer:
             and env._batch
             and env._sanitizer is None
             and self._tel is None
-            and tracer is None
             and error_rate == 0.0
             and vcs == 1
             and not control_lane
@@ -380,9 +376,6 @@ class LinkLayer:
                 self.retransmissions += 1
                 if self._tel is not None:
                     self._m_retries.inc(time=self.env.now)
-                if self.tracer is not None:
-                    self.tracer.record(self.env.now, "link.retry",
-                                       link=self.name, flit=repr(flit))
                 # The NAK round-trip before the flit is re-serialized.
                 yield self.env.timeout(2 * self.params.propagation_ns)
                 continue
@@ -402,6 +395,3 @@ class LinkLayer:
         # (max-accumulate commutes with the preceding += — any
         # same-timestamp dispatch order lands on the same peak)
         self.rx.put(flit)
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, "link.rx", link=self.name,
-                               flit=repr(flit))

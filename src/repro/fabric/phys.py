@@ -9,10 +9,10 @@ charges serialization plus propagation delay per flit.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from .. import params
-from ..sim import Environment, Event, Resource, Tracer
+from ..sim import Environment, Event, Resource
 from .flit import Flit
 
 __all__ = ["PhysicalLayer", "bifurcate"]
@@ -28,7 +28,7 @@ class PhysicalLayer:
     """
 
     def __init__(self, env: Environment, link_params: params.LinkParams,
-                 name: str = "phys", tracer: Optional[Tracer] = None) -> None:
+                 name: str = "phys") -> None:
         if link_params.lanes not in params.LANE_WIDTHS:
             raise ValueError(
                 f"unsupported bifurcation x{link_params.lanes}; "
@@ -39,7 +39,6 @@ class PhysicalLayer:
         self.env = env
         self.params = link_params
         self.name = name
-        self.tracer = tracer
         self._wire = Resource(env, capacity=1)
         self.flits_sent = 0
         self.bytes_sent = 0
@@ -58,9 +57,6 @@ class PhysicalLayer:
             yield self.env.timeout(self.serialization_ns(flit))
         self.flits_sent += 1
         self.bytes_sent += flit.size_bytes
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, "phys.tx", link=self.name,
-                               flit=repr(flit), bytes=flit.size_bytes)
 
     def transmit(self, flit: Flit) -> Generator[Event, None, None]:
         """Serialize one flit onto the wire and propagate it."""

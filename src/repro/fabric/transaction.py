@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, Optional
 
-from ..sim import Environment, Event, SimulationError, Store, Tracer
+from ..sim import Environment, Event, SimulationError, Store
 from ..telemetry.causal import QUEUEING
 from .flit import (
     Channel,
@@ -54,14 +54,12 @@ class TransactionPort:
                  rx_link: LinkLayer, port_id: int,
                  name: str = "port",
                  tag_capacity: int = 256,
-                 vc_map: Optional[Dict[Channel, int]] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 vc_map: Optional[Dict[Channel, int]] = None) -> None:
         self.env = env
         self.tx_link = tx_link
         self.rx_link = rx_link
         self.port_id = port_id
         self.name = name
-        self.tracer = tracer
         self.vc_map = dict(vc_map or DEFAULT_VC_MAP)
         self.tags = TagAllocator(tag_capacity)
         self._pending: Dict[int, Event] = {}
@@ -144,9 +142,6 @@ class TransactionPort:
         vc = self.vc_map.get(packet.channel, 0)
         for flit in fragment(packet, self.tx_link.params.flit_bytes, vc=vc):
             yield self.tx_link.send(flit)
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, "port.tx", port=self.name,
-                               packet=repr(packet))
 
     # -- serving -----------------------------------------------------------
 
@@ -186,9 +181,6 @@ class TransactionPort:
             self._dispatch(packet)
 
     def _dispatch(self, packet: Packet) -> None:
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, "port.rx", port=self.name,
-                               packet=repr(packet))
         waiter = self._pending.pop(packet.tag, None) \
             if packet.kind not in REQUEST_KINDS else None
         if waiter is not None:
@@ -206,6 +198,3 @@ class TransactionPort:
         # posted write (benign), or a stale tag.  Count and drop — a
         # receiver must never die, or its link backpressures the fabric.
         self.orphan_responses += 1
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, "port.orphan",
-                               port=self.name, packet=repr(packet))

@@ -34,7 +34,7 @@ except ImportError:      # pragma: no cover - numpy ships with the toolchain
 from .. import params
 from ..fabric.flit import Flit
 from ..fabric.link import LinkLayer
-from ..sim import Environment, Event, Resource, Tracer
+from ..sim import Environment, Event, Resource
 from ..telemetry.causal import QUEUEING
 from .arbitration import EgressScheduler, make_scheduler
 from .credits import CreditDomain
@@ -73,8 +73,7 @@ class FabricSwitch:
                  scheduler: str = "fair",
                  scheduler_capacity: int = 64,
                  ingress_buffer: int = 128,
-                 adaptive_routing: bool = False,
-                 tracer: Optional[Tracer] = None) -> None:
+                 adaptive_routing: bool = False) -> None:
         self.env = env
         self.name = name
         self.domain = domain
@@ -83,7 +82,6 @@ class FabricSwitch:
         self.scheduler_capacity = scheduler_capacity
         self.ingress_buffer = ingress_buffer
         self.adaptive_routing = adaptive_routing
-        self.tracer = tracer
         self.table = RoutingTable(domain)
         self.ports: Dict[int, SwitchPort] = {}
         self.credit_domains: Dict[int, CreditDomain] = {}
@@ -129,12 +127,10 @@ class FabricSwitch:
             and self.env._batch
             and self.env._sanitizer is None
             and self._tel is None
-            and self.tracer is None
             and not self.adaptive_routing
             and port.scheduler.batchable
             and out_link.error_rate == 0.0
-            and not out_link.control_lane_enabled
-            and out_link.tracer is None)
+            and not out_link.control_lane_enabled)
         self.ports[index] = port
         if self._tel is not None:
             # The issue-shaped hierarchical names: queue_depth counts
@@ -191,9 +187,6 @@ class FabricSwitch:
                 self._m_drops.inc(time=self.env.now)
                 self._tel.instant("switch.drop", track=self._track,
                                   packet=repr(flit.packet))
-            if self.tracer is not None:
-                self.tracer.record(self.env.now, "switch.drop",
-                                   switch=self.name, packet=repr(flit.packet))
             return
         egress = self.ports[egress_index]
         egress.pending += 1
@@ -256,10 +249,6 @@ class FabricSwitch:
             domain = domain_lookup.get(port.index)
             if domain is not None and flit.flow is not None:
                 domain.release(flit.flow)
-            if self.tracer is not None:
-                self.tracer.record(self.env.now, "switch.fwd",
-                                   switch=self.name, port=port.index,
-                                   flit=repr(flit))
 
     def _gather_sweep(self, port: SwitchPort,
                       domain: Optional[CreditDomain]) -> Optional[list]:

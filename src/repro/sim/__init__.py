@@ -20,7 +20,7 @@ from .engine import (
 )
 from .resources import Container, PriorityResource, PriorityStore, Resource, Store
 from .rng import SimRng
-from .trace import StatSeries, Tracer, TraceRecord
+from .trace import StatSeries
 
 __all__ = [
     "AllOf",
@@ -38,8 +38,6 @@ __all__ = [
     "Store",
     "SimRng",
     "StatSeries",
-    "Tracer",
-    "TraceRecord",
     "run_proc",
     "total_events_processed",
 ]

@@ -1,7 +1,7 @@
 """Cross-module end-to-end scenarios.
 
 These tests exercise realistic combinations — lossy links under real
-traffic, tracing through the whole stack, the full UniFabric facade
+traffic, telemetry through the whole stack, the full UniFabric facade
 with memkind + futures + tasks together, and a multi-host contention
 scenario — the kind of integration coverage unit tests cannot give.
 """
@@ -21,7 +21,9 @@ from repro.core import (
 from repro.fabric import Channel, Packet, PacketKind
 from repro.infra import ClusterSpec, FamSpec, build_cluster
 from repro.pcie import FabricManager, PortRole, Topology
-from repro.sim import Environment, SimRng, Tracer
+from repro.sim import Environment, SimRng
+from repro.telemetry import Telemetry
+from repro.telemetry.causal import CausalRecorder
 
 
 def run(env, gen, horizon=100_000_000_000):
@@ -78,43 +80,64 @@ class TestLossyLinks:
 
 
 class TestTracingThroughTheStack:
-    def test_tracer_sees_all_layers(self):
-        env = Environment()
-        tracer = Tracer()
-        cluster = build_cluster(env, ClusterSpec(hosts=1),
-                                tracer=tracer)
+    """One remote read observed through telemetry alone."""
+
+    @staticmethod
+    def _observed_remote_read():
+        env = Environment(telemetry=Telemetry(causal=CausalRecorder()))
+        cluster = build_cluster(env, ClusterSpec(hosts=1))
         host = cluster.host(0)
 
         def go():
             yield from host.mem.access(host.remote_base("fam0"), False)
 
         run(env, go())
-        kinds = {record.kind for record in tracer.records}
-        assert "phys.tx" in kinds
-        assert "link.rx" in kinds
-        assert "switch.fwd" in kinds
-        assert "port.tx" in kinds and "port.rx" in kinds
+        return env.telemetry
+
+    def test_tracer_sees_all_layers(self):
+        telemetry = self._observed_remote_read()
+        registry = telemetry.registry
+        # Link layer, both hops of the request leg.
+        assert registry.get("link.host0->sw0.flits").value > 0
+        assert registry.get("link.sw0->fam0.flits").value > 0
+        # Switch layer.
+        assert registry.get("pcie.sw0.flits_forwarded").value > 0
+        # Transaction port: the one request completed.
+        assert registry.get("port.host0.request_ns").count == 1
+        sites = {event[6] for event in telemetry.causal.events
+                 if event[0] == "B"}
+        assert {"link.host0->sw0.serialize", "link.host0->sw0.wire",
+                "pcie.sw0.p1.egress", "link.sw0->fam0.serialize",
+                "link.sw0->fam0.wire"} <= sites
 
     def test_trace_reconstructs_request_path(self):
-        env = Environment()
-        tracer = Tracer()
-        cluster = build_cluster(env, ClusterSpec(hosts=1),
-                                tracer=tracer)
-        host = cluster.host(0)
+        events = list(self._observed_remote_read().causal.events)
+        begins = [e for e in events if e[0] == "T"]
+        assert [e[3:] for e in begins] == [("MemRd", "host0:MemRd")]
+        trace_id = begins[0][2]
+        assert all(e[2] == trace_id for e in events)
 
-        def go():
-            yield from host.mem.access(host.remote_base("fam0"), False)
+        def first(kind, site=None):
+            for index, event in enumerate(events):
+                if event[0] == kind and (site is None or event[6] == site):
+                    return index, event[1]
+            raise AssertionError(f"no {kind} event at {site}")
 
-        run(env, go())
-        # The request leaves the host port before the switch forwards
-        # it, and the switch forwards it before the device receives it.
-        tx_times = [r.time for r in tracer.filter("port.tx")
-                    if r.port == "host0"]
-        fwd_times = [r.time for r in tracer.filter("switch.fwd")]
-        rx_times = [r.time for r in tracer.filter("port.rx")
-                    if r.port == "fam0"]
-        assert tx_times and fwd_times and rx_times
-        assert min(tx_times) < min(fwd_times) < max(rx_times)
+        # Host link -> switch egress -> device link -> completion, in
+        # recording order and in simulated time.
+        path = [first("T"),
+                first("B", "link.host0->sw0.serialize"),
+                first("B", "link.host0->sw0.wire"),
+                first("B", "pcie.sw0.p1.egress"),
+                first("B", "link.sw0->fam0.serialize"),
+                first("B", "link.sw0->fam0.wire"),
+                first("F")]
+        order = [index for index, _ in path]
+        times = [ts for _, ts in path]
+        assert order == sorted(order) and len(set(order)) == len(order)
+        assert times == sorted(times)
+        # Leaving the host, crossing the switch and completing take time.
+        assert times[0] < times[2] < times[3] < times[-1]
 
 
 class TestFullStackScenario:

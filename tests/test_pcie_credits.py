@@ -146,3 +146,14 @@ class TestValidation:
         dom.register("a")
         with pytest.raises(ValueError):
             dom.register("a")
+
+    @pytest.mark.parametrize("via", ["constructor", "setter"])
+    @pytest.mark.parametrize("rebalance_ns", [0.0, -5.0, float("nan")])
+    def test_non_positive_rebalance_period_rejected(self, rebalance_ns, via):
+        # A zero period would make the rebalancer spin at one instant.
+        env = Environment()
+        with pytest.raises(ValueError, match="rebalance_ns must be > 0"):
+            if via == "constructor":
+                CreditDomain(env, budget=4, rebalance_ns=rebalance_ns)
+            else:
+                CreditDomain(env, budget=4).set_rebalance_ns(rebalance_ns)

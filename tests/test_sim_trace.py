@@ -1,42 +1,11 @@
-"""Tests for tracing, statistics, and the seeded RNG helpers."""
+"""Tests for the statistics series and the seeded RNG helpers."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import SimRng, StatSeries, Tracer
-
-
-class TestTracer:
-    def test_record_and_filter(self):
-        tracer = Tracer()
-        tracer.record(1.0, "link.rx", link="a")
-        tracer.record(2.0, "switch.fwd", port=3)
-        tracer.record(3.0, "link.rx", link="b")
-        assert tracer.count("link.rx") == 2
-        records = list(tracer.filter("link.rx"))
-        assert [r.link for r in records] == ["a", "b"]
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.record(1.0, "x")
-        assert tracer.records == []
-
-    def test_field_attribute_access(self):
-        tracer = Tracer()
-        tracer.record(5.0, "evt", value=42)
-        record = tracer.records[0]
-        assert record.time == 5.0
-        assert record.value == 42
-        with pytest.raises(AttributeError):
-            _ = record.missing
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.record(1.0, "x")
-        tracer.clear()
-        assert tracer.count("x") == 0
+from repro.sim import SimRng, StatSeries
 
 
 class TestStatSeries:
@@ -50,8 +19,9 @@ class TestStatSeries:
         assert len(series) == 3
 
     def test_empty_mean_raises(self):
-        with pytest.raises(ValueError):
-            _ = StatSeries("s").mean
+        for query in ("mean", "minimum", "maximum"):
+            with pytest.raises(ValueError, match="no samples in series 's'"):
+                getattr(StatSeries("s"), query)
 
     def test_percentiles(self):
         series = StatSeries("s")
@@ -85,6 +55,10 @@ class TestStatSeries:
             series.add(1.0, time=i * 100.0)   # 10 intervals over 1000ns
         assert series.rate_per_ns() == pytest.approx(0.01)
         assert series.mops() == pytest.approx(10.0)
+        single = StatSeries("one")
+        single.add(1.0, time=50.0)     # no interval yet: no rate
+        assert single.rate_per_ns() == 0.0
+        assert single.mops() == 0.0
 
     def test_rate_without_timestamps_raises(self):
         series = StatSeries("s")
