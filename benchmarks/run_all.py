@@ -243,15 +243,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     off_best = on_best = None
     off_events = on_events = 0
     for _ in range(t_rounds):
-        _, wall_off, ev_off = _timed(
+        res_off, wall_off, ev_off = _timed(
             lambda: run_scenario(scenario, telemetry=False))
-        _, wall_on, ev_on = _timed(
+        res_on, wall_on, ev_on = _timed(
             lambda: run_scenario(scenario, telemetry=True))
         if off_best is None or wall_off < off_best:
             off_best, off_events = wall_off, ev_off
         if on_best is None or wall_on < on_best:
             on_best, on_events = wall_on, ev_on
     on_ratio = on_best / off_best if off_best > 0 else 0.0
+    # Deterministic: the same in every round.
+    elided_off = res_off.env.stats["events_elided"]
+    elided_on = res_on.env.stats["events_elided"]
     record("telemetry_overhead", off_best, off_events, {
         "scenario": scenario,
         "best_of": t_rounds,
@@ -260,8 +263,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "on_vs_off": round(on_ratio, 3),
         "model_events_off": off_events,
         "model_events_on": on_events,
+        "events_elided_off": elided_off,
+        "events_elided_on": elided_on,
     })
     check("telemetry_off_within_noise_of_fast_path", on_ratio < 3.0)
+    # Observing the run must not switch the vectorized paths off.
+    check("telemetry_on_keeps_fast_paths", elided_on >= 0.9 * elided_off)
 
     # -- causal tracing: on-path overhead --------------------------------
     # Telemetry-on is the baseline here: causal tracing rides on top of

@@ -71,6 +71,9 @@ class LinkLayer:
             raise ValueError(f"overcommit must be >= 1.0, got {overcommit}")
         if not 0.0 <= error_rate < 1.0:
             raise ValueError(f"error_rate must be in [0, 1), got {error_rate}")
+        if not credit_update_ns >= 0:    # NaN fails this too
+            raise ValueError(f"link {name!r}: credit_update_ns must be "
+                             f">= 0, got {credit_update_ns}")
         self.env = env
         self.params = link_params or params.LinkParams()
         self.name = name
@@ -128,7 +131,10 @@ class LinkLayer:
         # first time an allocator or a switch egress touches the credit
         # pools, which permanently routes this link back to the scalar
         # path (those callers share the pools / the wire and must see
-        # per-flit interleaving).
+        # per-flit interleaving).  Unlike the switch sweep it stays off
+        # under telemetry: it applies its counters in one step at the
+        # run's start, and moving them to their per-flit instants would
+        # cost a ledger event per flit.
         self._managed = False
         self._direct_used = False
         self._vector_ok = (
@@ -142,9 +148,11 @@ class LinkLayer:
             and tx_queue_capacity == float("inf"))
         # Credit returns only need the event chain to be unobservable —
         # the wire and tx queues are not involved, so multi-VC and
-        # bounded-queue links still qualify.
-        self._fast_credit = (env._batch and env._sanitizer is None
-                             and self._tel is None)
+        # bounded-queue links still qualify.  Telemetry cannot tell the
+        # paths apart: the hook lands in the same time bucket as the
+        # scalar return's timeout, so a sampler tick falls on the same
+        # side of both.
+        self._fast_credit = env._batch and env._sanitizer is None
 
         self.control_lane_enabled = control_lane
         if control_lane:

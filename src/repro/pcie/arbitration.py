@@ -205,12 +205,20 @@ class FifoScheduler(EgressScheduler):
         in closed form.  Blocked pushes don't disqualify the sweep:
         entries stay staged until their :meth:`commit_head`, which
         serves waiters one slot at a time just like scalar pops would.
+        The run also stops before the first causally traced flit: its
+        waits, spans and grant are recorded by the scalar path.
         """
         items = self._queues["all"].items
-        key = items[0][2].transport_key()
+        head = items[0][2]
+        if head.packet.trace is not None:
+            return None
+        key = head.transport_key()
         n = 1
         stop = min(limit, len(items))
-        while n < stop and items[n][2].transport_key() == key:
+        while n < stop:
+            flit = items[n][2]
+            if flit.transport_key() != key or flit.packet.trace is not None:
+                break
             n += 1
         if n < 2:
             return None
@@ -224,6 +232,10 @@ class FifoScheduler(EgressScheduler):
         queue = self._queues["all"]
         queue.items.pop(0)
         queue._trigger()
+        if self._causal is not None:
+            # An untraced pop still restarts the next head's aging,
+            # exactly as `_record_grant` does on the scalar path.
+            self._head_ts["all"] = self.env.now
 
 
 class FairVcScheduler(EgressScheduler):

@@ -121,12 +121,13 @@ class FabricSwitch:
         # Static half of the batched-egress predicate (see `_egress`):
         # nothing may be able to observe the per-flit intermediate
         # events the sweep elides, and the scheduler's service order
-        # must be immune to pushes landing mid-batch.
+        # must be immune to pushes landing mid-batch.  Telemetry is no
+        # bar: the sweep applies its counters at their scalar instants
+        # and never spans a sampler tick (see `_gather_sweep`).
         port.sweep_ok = (
             _np is not None
             and self.env._batch
             and self.env._sanitizer is None
-            and self._tel is None
             and not self.adaptive_routing
             and port.scheduler.batchable
             and out_link.error_rate == 0.0
@@ -235,9 +236,10 @@ class FabricSwitch:
         while True:
             if port.sweep_ok:
                 domain = domain_lookup.get(port.index)
-                run = self._gather_sweep(port, domain)
-                if run is not None:
-                    yield from self._transmit_sweep(port, run, domain)
+                planned = self._gather_sweep(port, domain)
+                if planned is not None:
+                    run, ends = planned
+                    yield from self._transmit_sweep(port, run, ends, domain)
                     continue
             flit = yield from port.scheduler.pop()
             yield from port.out_link.transmit_direct(flit)
@@ -251,16 +253,22 @@ class FabricSwitch:
                 domain.release(flit.flow)
 
     def _gather_sweep(self, port: SwitchPort,
-                      domain: Optional[CreditDomain]) -> Optional[list]:
-        """Runtime half of the egress-sweep predicate + the bulk take.
+                      domain: Optional[CreditDomain]) -> Optional[tuple]:
+        """Runtime half of the egress-sweep predicate + the schedule.
 
-        Returns a homogeneous staged run only when the scalar loop
-        could not have blocked anywhere inside it: a link credit per
-        flit is already available (with nobody else waiting on the
-        pool), the wire is idle, no allocator manages the link's
-        credits, and — on credit-domain ports — no flow is currently
-        stalled dry (the credit-constrained regime stays on the scalar
-        path untouched).
+        Returns ``(run, ends)`` — a homogeneous staged run and its
+        serialization boundaries — only when the scalar loop could not
+        have blocked anywhere inside it: a link credit per flit is
+        already available (with nobody else waiting on the pool), the
+        wire is idle, no allocator manages the link's credits, and — on
+        credit-domain ports — no flow is currently stalled dry (the
+        credit-constrained regime stays on the scalar path untouched).
+
+        On observed runs the run is also cut so that every hook it
+        schedules (the last one is the final delivery at ``ends[k] +
+        prop``) lands strictly before the next sampler tick: probes,
+        health tickers and control actions then only ever see state
+        between sweeps, where it equals the scalar loop's.
         """
         first = port.scheduler.peek_ready()
         if first is None:
@@ -280,9 +288,22 @@ class FabricSwitch:
         if domain is not None and any(
                 p._get_waiters for p in domain._pools.values()):
             return None
-        return port.scheduler.plan_ready_run(level)
+        run = port.scheduler.plan_ready_run(level)
+        if run is None:
+            return None
+        ser_ns = out.phys.serialization_ns(first)
+        ends = _np.cumsum([self.env.now] + [ser_ns] * len(run))
+        if self._tel is not None:
+            arrivals = ends[1:] + out.params.propagation_ns
+            k = int(_np.searchsorted(arrivals, self._tel.next_sample_ns))
+            if k < 2:
+                return None
+            if k < len(run):
+                run = run[:k]
+                ends = ends[:k + 1]
+        return run, ends
 
-    def _transmit_sweep(self, port: SwitchPort, run: list,
+    def _transmit_sweep(self, port: SwitchPort, run: list, ends,
                         domain: Optional[CreditDomain],
                         ) -> Generator[Event, None, None]:
         """Serialize a staged run with one closed-form schedule.
@@ -301,7 +322,10 @@ class FabricSwitch:
         short by the simulation horizon still counts events
         identically.  On credit-domain ports each flit's credit returns
         via :meth:`CreditDomain.release_at` at its scalar release time
-        (one extra real hook per boundary, one fewer elision).
+        (one extra real hook per boundary, one fewer elision).  The
+        telemetry counters the scalar loop bumps per flit (the out
+        link's ``flits``/``bytes``, the switch's ``flits_forwarded``)
+        ride the same ledger hooks, stamped with the same instants.
         """
         env = self.env
         out = port.out_link
@@ -317,8 +341,6 @@ class FabricSwitch:
         yield out._credit_pools[run[0].vc].get(float(k))
         wire = phys._wire.request()
         yield wire
-        ser_ns = phys.serialization_ns(run[0])
-        ends = _np.cumsum([env.now] + [ser_ns] * k)
         prop = out.params.propagation_ns
         hook = env._schedule_hook_at
         deliver = out._deliver
@@ -330,14 +352,26 @@ class FabricSwitch:
         # get / credit get / wire grant = 5.  The ledger hook is 1 real
         # (+ the release_at hook on domain ports).
         tick_elided = 3 if domain is not None else 4
+        observed = self._tel is not None
 
-        def _tick(event, self=self, port=port, phys=phys, size=size,
-                  scheduler=scheduler, env=env, n=tick_elided):
+        def _retire(self=self, port=port, phys=phys, size=size, out=out,
+                    env=env, observed=observed):
+            # One flit's serialization ended: the scalar loop's side
+            # effects, at the instant it applies them.
             phys.flits_sent += 1
             phys.bytes_sent += size
             port.pending -= 1
             port.flits_out += 1
             self.flits_forwarded += 1
+            if observed:
+                now = env.now
+                out._m_flits.inc(time=now)
+                out._m_bytes.inc(size, time=now)
+                self._m_forwarded.inc(time=now)
+
+        def _tick(event, retire=_retire, scheduler=scheduler, env=env,
+                  n=tick_elided):
+            retire()
             scheduler.commit_head()
             env.credit_elided(n)
 
@@ -363,11 +397,7 @@ class FabricSwitch:
         # start hook = 2; the resuming Timeout here is 1 real.
         yield env.timeout_at(float(ends[k]))
         phys._wire.release(wire)
-        phys.flits_sent += 1
-        phys.bytes_sent += size
-        port.pending -= 1
-        port.flits_out += 1
-        self.flits_forwarded += 1
+        _retire()
         last = run[-1]
         if domain is not None and last.flow is not None:
             domain.release(last.flow)

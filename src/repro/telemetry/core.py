@@ -109,6 +109,10 @@ class Telemetry:
         #: adds zero kernel events: model schedules stay bit-identical
         #: with or without any ticker attached.
         self._tickers: List[Callable[[float], None]] = []
+        #: Sim time of the next TimelineSampler tick (``+inf`` while
+        #: no sampler runs); maintained by the running samplers.
+        self.next_sample_ns = float("inf")
+        self._samplers: List = []
 
     # -- wiring ----------------------------------------------------------
 

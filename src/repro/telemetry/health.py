@@ -431,7 +431,7 @@ class HealthMonitor:
     def __init__(self, telemetry: Telemetry, scenario: str,
                  window_ns: float = DEFAULT_WINDOW_NS,
                  spec: Optional[SloSpec] = None) -> None:
-        if window_ns <= 0:
+        if not window_ns > 0:     # NaN fails this too
             raise ValueError(
                 f"window_ns must be > 0, got {window_ns}")
         if telemetry.causal is None:
@@ -685,6 +685,11 @@ def run_health(scenario: str, policy: str = "rampup",
     ``credits.egress0``), and the report gains a ``control`` section
     with the sim-time-stamped action log.
     """
+    for label, value in (("window_ns", window_ns),
+                         ("interval_ns", interval_ns)):
+        if not 0.0 < value < float("inf"):     # NaN fails this too
+            raise HealthError(
+                f"{label} must be finite and > 0, got {value}")
     remainder = window_ns % interval_ns
     if min(remainder, abs(interval_ns - remainder)) > _EPS \
             or window_ns < interval_ns:

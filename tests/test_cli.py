@@ -145,6 +145,10 @@ class TestHealthCli:
         assert main(["health", "--scenario", "t2",
                      "--policy", "fair"]) == 2
         assert "starvation" in capsys.readouterr().err
+        for flag in ("--interval", "--window"):
+            assert main(["health", "--scenario", "interleave",
+                         flag, "nan"]) == 2
+            assert "finite and > 0" in capsys.readouterr().err
 
     def test_health_feedback_surfaces_the_action_log(self, capsys):
         assert main(["health", "--scenario", "starvation",

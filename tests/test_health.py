@@ -172,6 +172,20 @@ class TestMonitorWiring:
             run_health("starvation", window_ns=1_500.0,
                        interval_ns=1_000.0)
 
+    @pytest.mark.parametrize("window_ns, interval_ns", [
+        (float("nan"), 1_000.0), (2_000.0, float("nan")),
+        (float("inf"), 1_000.0), (2_000.0, float("inf")),
+        (-2_000.0, -1_000.0), (0.0, 1_000.0)])
+    def test_window_and_interval_must_be_finite_positive(
+            self, window_ns, interval_ns):
+        with pytest.raises(HealthError, match="finite and > 0"):
+            run_health("t2", window_ns=window_ns, interval_ns=interval_ns)
+
+    def test_monitor_rejects_nan_window(self):
+        telemetry = Telemetry(causal=CausalRecorder())
+        with pytest.raises(ValueError, match="window_ns"):
+            HealthMonitor(telemetry, scenario="t2", window_ns=float("nan"))
+
     def test_policy_knob_is_starvation_only(self):
         with pytest.raises(HealthError, match="starvation"):
             run_health("t2", policy="fair")

@@ -388,6 +388,26 @@ class TestTimelineSampler:
         with pytest.raises(ValueError):
             TimelineSampler(Environment(telemetry=True), interval_ns=0)
 
+    def test_nan_interval_rejected(self):
+        # NaN passes `<= 0`; the daemon would die at its first timeout
+        # and the run would take no samples.
+        with pytest.raises(ValueError, match="interval_ns"):
+            TimelineSampler(Environment(telemetry=True),
+                            interval_ns=float("nan"))
+
+    def test_next_tick_published(self):
+        env = Environment(telemetry=True)
+        assert env.telemetry.next_sample_ns == float("inf")
+        TimelineSampler(env, interval_ns=100.0).start()
+        assert env.telemetry.next_sample_ns == 100.0
+        env.run(until=250.0)
+        assert env.telemetry.next_sample_ns == 300.0
+        # A second sampler: the hub publishes the earlier pending tick.
+        TimelineSampler(env, interval_ns=30.0).start()
+        assert env.telemetry.next_sample_ns == 280.0
+        env.run(until=285.0)
+        assert env.telemetry.next_sample_ns == 300.0
+
     def test_start_is_idempotent(self):
         env = Environment(telemetry=True)
         sampler = TimelineSampler(env, interval_ns=10.0)
