@@ -19,9 +19,10 @@ invariants instead of sampling them:
 * :mod:`repro.analysis.sanitizers` — opt-in runtime sanitizers hooked
   into the simulation kernel via ``Environment(sanitize=True)``:
   credit conservation, event lifecycle, same-timestamp write-write
-  races, and a drain-time deadlock reporter.
-* :mod:`repro.analysis.runners` — canonical sanitized experiment runs
-  for ``repro check --sanitize <experiment>``.
+  races, and a drain-time deadlock reporter.  ``repro check --sanitize
+  <experiment>`` runs any registered experiment with them attached to
+  every environment it builds (a run scope, see
+  :mod:`repro.experiments.runner`).
 
 All heads surface through ``python -m repro check`` (also installed
 as the ``repro`` console script): ``--lint``, ``--program``,

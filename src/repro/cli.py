@@ -10,9 +10,10 @@ Commands:
   (events processed, events/sec, peak queue depth, pool sizes);
 * ``check``   — fcc-check correctness tooling: ``--lint`` runs the
   static determinism/lifecycle lint over the package (or given paths),
-  ``--sanitize <experiment>`` replays a canonical experiment under the
-  runtime sanitizers; ``--json`` for machine-readable output.  Exits
-  non-zero on any violation or finding;
+  ``--sanitize <experiment>`` runs any registered experiment with the
+  runtime sanitizers on every environment it builds and drain-audits
+  them; ``--json`` for machine-readable output.  Exits non-zero on any
+  violation or finding;
 * ``trace``   — run a canonical telemetry scenario and export the
   Chrome trace-event JSON (load it at https://ui.perfetto.dev);
 * ``metrics`` — run a scenario and print its metric registry snapshot;
@@ -40,7 +41,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from . import params
 from .core import MovementOrchestrator, UnifiedHeap
@@ -165,12 +166,13 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_scenario_checked(args: argparse.Namespace):
-    # Deferred import: scenario running pulls in the whole fabric
-    # stack, which `repro info` users should not pay for.
+def _run_scenario_checked(args: argparse.Namespace, **observe: Any):
+    """Run ``args.scenario`` observed; None (error printed) on bad input."""
+    # Deferred import: `repro info` users should not load the fabric.
     from .telemetry.scenarios import run_scenario
     try:
-        return run_scenario(args.scenario, interval_ns=args.interval)
+        return run_scenario(args.scenario, interval_ns=args.interval,
+                            **observe)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -217,12 +219,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_why(args: argparse.Namespace) -> int:
     """Causal 'why is it slow': critical paths + latency attribution."""
     from .telemetry.attribution import validate_attribution
-    from .telemetry.scenarios import run_scenario
-    try:
-        result = run_scenario(args.scenario, interval_ns=args.interval,
-                              causal=True, causal_sample=args.sample)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.limit < 0:
+        print(f"error: --limit must be >= 0, got {args.limit}",
+              file=sys.stderr)
+        return 2
+    result = _run_scenario_checked(args, causal=True,
+                                   causal_sample=args.sample)
+    if result is None:
         return 2
     report = result.attribution_report(max_transactions=args.limit)
     validate_attribution(report)
@@ -472,19 +475,34 @@ def cmd_check(args: argparse.Namespace) -> int:
         if violations:
             status = 1
     for name in args.sanitize:
-        from .analysis.runners import run_sanitized
+        from .experiments import (ExperimentError, ExperimentSpec,
+                                  run_experiment)
+        from .experiments.runner import Profile, observe
         try:
-            sanitizer, summary = run_sanitized(name)
-        except ValueError as exc:
+            with observe(Profile(sanitize=True), name=name) as run:
+                result = run_experiment(ExperimentSpec(experiment=name))
+        except ExperimentError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        sanitizers = run.audit()
+        findings = [dict(finding.to_dict(), env=index)
+                    for index, sanitizer in enumerate(sanitizers)
+                    for finding in sanitizer.findings]
         if args.json:
-            payload = sanitizer.to_json()
-            payload["summary"] = summary
-            print(json.dumps(payload, indent=2))
+            print(json.dumps({"schema": 1, "tool": "fcc-sanitize",
+                              "experiment": name,
+                              "environments": len(sanitizers),
+                              "count": len(findings),
+                              "findings": findings,
+                              "summary": result["outputs"]["summary"]},
+                             indent=2))
         else:
-            print(f"sanitize[{name}]: {sanitizer.report()}")
-        if not sanitizer.clean:
+            print(f"sanitize[{name}]: {len(sanitizers)} environment(s), "
+                  f"{len(findings)} finding(s)")
+            for index, sanitizer in enumerate(sanitizers):
+                for finding in sanitizer.findings:
+                    print(f"  env {index} {finding.format()}")
+        if findings:
             status = 1
     return status
 
@@ -636,6 +654,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _observation_args(parser: argparse.ArgumentParser,
+                      sample: bool = False) -> None:
+    """The observation settings of trace/metrics/why/health."""
+    parser.add_argument("--interval", type=float, default=1_000.0,
+                        help="TimelineSampler cadence in sim ns "
+                             "(default 1000)")
+    if sample:
+        parser.add_argument("--sample", type=int, default=1, metavar="N",
+                            help="trace one of every N transaction roots "
+                                 "(default 1: every transaction)")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -657,8 +687,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "--sanitize is given)")
     check.add_argument("--sanitize", action="append", default=[],
                        metavar="EXPERIMENT",
-                       help="replay a canonical experiment under the "
-                            "runtime sanitizers (t2, credits, arbiter); "
+                       help="run a registered experiment (see `repro "
+                            "list`) under the runtime sanitizers and "
+                            "drain-audit every environment it builds; "
                             "repeatable")
     check.add_argument("--json", action="store_true",
                        help="machine-readable output (schema-stable)")
@@ -687,33 +718,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace.add_argument("scenario", help=scenario_help)
     trace.add_argument("--out", default="trace.json",
                        help="output file (default trace.json)")
-    trace.add_argument("--interval", type=float, default=1_000.0,
-                       help="TimelineSampler cadence in sim ns "
-                            "(default 1000)")
+    _observation_args(trace)
     metrics = sub.add_parser(
         "metrics", help="run a scenario, print its metric registry")
     metrics.add_argument("scenario", help=scenario_help)
-    metrics.add_argument("--interval", type=float, default=1_000.0,
-                         help="TimelineSampler cadence in sim ns "
-                              "(default 1000)")
+    _observation_args(metrics)
     metrics.add_argument("--json", action="store_true",
                          help="machine-readable snapshot "
                               "(schema-stable)")
     why = sub.add_parser(
         "why", help="causal critical-path latency attribution")
     why.add_argument("--scenario", required=True, help=scenario_help)
+    _observation_args(why, sample=True)
     why.add_argument("--txn", type=int, default=None, metavar="N",
                      help="also print transaction N's critical-path "
                           "waterfall")
-    why.add_argument("--sample", type=int, default=1, metavar="N",
-                     help="trace one of every N transaction roots "
-                          "(default 1: every transaction)")
     why.add_argument("--limit", type=int, default=32,
-                     help="max transactions embedded in the report "
-                          "(default 32)")
-    why.add_argument("--interval", type=float, default=1_000.0,
-                     help="TimelineSampler cadence in sim ns "
-                          "(default 1000)")
+                     help="max transactions embedded in the report, "
+                          ">= 0 (default 32)")
     why.add_argument("--json", action="store_true",
                      help="print the full attribution document "
                           "(schema-stable)")
@@ -729,6 +751,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                "--slo or --feedback spec,\n"
                "     window/interval mismatch)")
     health.add_argument("--scenario", required=True, help=scenario_help)
+    _observation_args(health, sample=True)
     health.add_argument("--policy", default="rampup",
                         choices=["rampup", "fair"],
                         help="starvation credit policy: rampup (the "
@@ -739,12 +762,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="tumbling window width in sim ns; must "
                              "be a multiple of --interval "
                              "(default 2000)")
-    health.add_argument("--interval", type=float, default=1_000.0,
-                        help="TimelineSampler cadence in sim ns "
-                             "(default 1000)")
-    health.add_argument("--sample", type=int, default=1, metavar="N",
-                        help="trace one of every N transaction roots "
-                             "(default 1: every transaction)")
     health.add_argument("--slo", metavar="SPEC.json", default=None,
                         help="SLO spec file; default: the scenario's "
                              "built-in spec")

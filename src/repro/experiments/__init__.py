@@ -28,6 +28,7 @@ from .registry import (
     names,
     register,
 )
+from ..telemetry.scenarios import run_scenario
 from .runner import RunContext, render, run_experiment, run_summary
 from .spec import ExperimentSpec, SpecError
 from .sweep import (
@@ -64,9 +65,3 @@ __all__ = [
     "run_sweep",
     "validate_sweep_report",
 ]
-
-
-def run_scenario(name: str, **kwargs):
-    """Back-compat passthrough to the telemetry scenario engine."""
-    from ..telemetry.scenarios import run_scenario as _run
-    return _run(name, **kwargs)

@@ -28,7 +28,7 @@ the victim's path.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from ...fabric import Channel, Packet, PacketKind
 from ...sim import Environment, StatSeries, run_proc
@@ -41,6 +41,7 @@ from ...topo import (
 )
 from ..format import print_table
 from ..registry import ExperimentError, Param, experiment
+from ..runner import Profile, control_plane, observe
 
 _SLOW_DEVICE_NS = 500.0
 _FAST_DEVICE_NS = 10.0
@@ -134,43 +135,26 @@ def xswitch_rescue_policy(descriptor: TopologyDescriptor):
 
 def run_xswitch_case(descriptor: TopologyDescriptor, scheduler: str,
                      with_flood: bool, victim_reads: int,
-                     flood_writes: int,
-                     feedback: Any = None) -> Tuple[StatSeries, Any]:
-    """One case; returns (victim latency series, control plane or None).
+                     flood_writes: int) -> StatSeries:
+    """One case; returns the victim latency series.
 
-    With ``feedback`` (a FeedbackPolicy) the run carries telemetry, a
-    sampler, and a health monitor; a LinkActuator named
+    In a run scope with a feedback plane, a LinkActuator named
     ``link.injection`` wraps the flood host's edge link so rules can
-    throttle the aggressor at its injection port.  Telemetry does not
-    change model timings (pinned bit-identity), so the case's latency
-    stats stay comparable with the bare runs.
+    throttle the aggressor at its injection port.  Observation does
+    not change model timings (pinned bit-identity), so the case's
+    latency stats stay comparable with the bare runs.
     """
-    plane = None
-    monitor = None
-    if feedback is not None:
-        from ...control import ControlPlane, LinkActuator
-        from ...telemetry.causal import CausalRecorder
-        from ...telemetry.core import Telemetry
-        from ...telemetry.health import HealthMonitor
-        from ...telemetry.sampler import TimelineSampler
-        env = Environment(
-            telemetry=Telemetry(causal=CausalRecorder(sample=1)))
-        TimelineSampler(env,
-                        interval_ns=_FEEDBACK_INTERVAL_NS).start()
-        monitor = HealthMonitor(env.telemetry, "xswitch",
-                                window_ns=_FEEDBACK_WINDOW_NS)
-        plane = ControlPlane(feedback)
-    else:
-        env = Environment()
+    env = Environment()
     case_desc = dataclasses.replace(descriptor, scheduler=scheduler)
     topo = compile_topology(case_desc, env).topology
     victim_host, flood_host, victim_dev, hot_dev = \
         _pick_endpoints(descriptor)
+    plane = control_plane(env)
     if plane is not None:
+        from ...control import LinkActuator
         plane.add_actuator(LinkActuator(
             topo.port_of(flood_host).tx_link, vc=1,
             name="link.injection"))
-        plane.attach(monitor)
 
     def slow_handler(request):
         yield env.timeout(_SLOW_DEVICE_NS)   # the congestion source
@@ -215,9 +199,7 @@ def run_xswitch_case(descriptor: TopologyDescriptor, scheduler: str,
         for _ in range(_FLOOD_WORKERS):
             env.process(flood_worker(flood_writes // _FLOOD_WORKERS))
     run_proc(env, victim())
-    if monitor is not None:
-        monitor.finalize(env.now)
-    return stats, plane
+    return stats
 
 
 def render_xswitch_starvation(summary: Dict[str, Any],
@@ -262,9 +244,8 @@ def run_xswitch_starvation(ctx) -> Dict[str, Any]:
             ("fifo quiet", "fifo", False),
             ("fifo congested", "fifo", True),
             ("fair congested", "fair", True)):
-        stats, _ = run_xswitch_case(descriptor, scheduler, with_flood,
-                                    ctx.victim_reads,
-                                    ctx.flood_writes)
+        stats = run_xswitch_case(descriptor, scheduler, with_flood,
+                                 ctx.victim_reads, ctx.flood_writes)
         cases[case] = {"mean_ns": stats.mean, "p99_ns": stats.p99}
     summary: Dict[str, Any] = {
         "topology": descriptor.name,
@@ -280,13 +261,19 @@ def run_xswitch_starvation(ctx) -> Dict[str, Any]:
                 policy = xswitch_rescue_policy(descriptor)
             else:
                 policy = FeedbackPolicy.load(ctx.feedback)
-            stats, plane = run_xswitch_case(
-                descriptor, "fifo", True, ctx.victim_reads,
-                ctx.flood_writes, feedback=policy)
+            # The closed-loop case runs under the health monitor.
+            profile = Profile(telemetry=True, causal=True,
+                              interval_ns=_FEEDBACK_INTERVAL_NS,
+                              window_ns=_FEEDBACK_WINDOW_NS,
+                              feedback=policy)
+            with observe(profile, name="xswitch") as run:
+                stats = run_xswitch_case(descriptor, "fifo", True,
+                                         ctx.victim_reads,
+                                         ctx.flood_writes)
         except ControlError as exc:
             raise ExperimentError(str(exc)) from None
         cases["fifo rescue"] = {"mean_ns": stats.mean,
                                 "p99_ns": stats.p99}
         summary["feedback"] = {"policy_source": policy.source,
-                               "actions": plane.actions}
+                               "actions": run.only().plane.actions}
     return summary

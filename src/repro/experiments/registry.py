@@ -10,14 +10,15 @@ CLIs in ``benchmarks/``, ``repro bench``/``repro list``, the sweep
 driver, the telemetry scenario commands — resolves experiments through
 this registry instead of hard-coding builders.
 
-Two kinds exist:
-
-* ``bench`` — the run function builds its own environments and returns
-  a JSON-able summary dict (the numbers a benchmark table prints);
-* ``scenario`` — the definition carries a ``scenario_build`` callable
-  ``(Environment) -> summary`` and the generic runner attaches
-  telemetry / causal tracing on demand, so one registration serves
-  ``repro trace``, ``repro metrics``, ``repro why`` and sweeps alike.
+Every run function takes a :class:`~repro.experiments.runner.
+RunContext`, builds its own plain environments and returns a JSON-able
+summary dict.  Observation is never built in: the run scope that runs
+the experiment attaches telemetry, health or the sanitizers to the
+environments it builds (see :mod:`repro.experiments.runner`).  The
+``kind`` is a label: ``bench`` experiments print a benchmark table;
+``scenario`` experiments build exactly one environment, so they also
+serve the ``metrics`` and ``attribution`` outputs and ``repro trace``,
+``repro metrics``, ``repro why`` and ``repro health``.
 """
 
 from __future__ import annotations
@@ -105,11 +106,10 @@ class ExperimentDef:
 
     name: str
     description: str
-    run: Optional[Callable[..., Dict[str, Any]]]
+    run: Callable[..., Dict[str, Any]]
     params: Mapping[str, Param]
     kind: str = "bench"
     outputs: Tuple[str, ...] = (OUTPUT_SUMMARY,)
-    scenario_build: Optional[Callable[..., Dict[str, Any]]] = None
     render: Optional[Callable[[Dict[str, Any], Dict[str, Any]],
                               None]] = None
 
@@ -149,11 +149,14 @@ def register(defn: ExperimentDef) -> ExperimentDef:
 
 def experiment(name: str, description: str,
                params: Optional[Mapping[str, Param]] = None,
-               render: Optional[Callable] = None):
-    """Decorator: register a bench-kind experiment run function."""
+               render: Optional[Callable] = None,
+               kind: str = "bench",
+               outputs: Tuple[str, ...] = (OUTPUT_SUMMARY,)):
+    """Decorator: register an experiment run function."""
     def wrap(fn: Callable[..., Dict[str, Any]]):
         register(ExperimentDef(name=name, description=description,
                                run=fn, params=dict(params or {}),
+                               kind=kind, outputs=outputs,
                                render=render))
         return fn
     return wrap

@@ -74,6 +74,7 @@ __all__ = [
     "total_events_processed",
     "batch_default",
     "set_batch_default",
+    "set_observer",
 ]
 
 # Scheduling priorities: URGENT fires before NORMAL at the same time.
@@ -101,6 +102,19 @@ def set_batch_default(enabled: bool) -> None:
     """Set the process-wide ``batch`` default (existing envs unaffected)."""
     global _BATCH_DEFAULT
     _BATCH_DEFAULT = bool(enabled)
+
+
+#: Process-wide construction hook, set while a run scope is open
+#: (``repro.experiments.runner.observe``): each new environment asks
+#: ``settings(sanitize, telemetry)`` what to attach, then ``attach(env)``.
+_OBSERVER: Any = None
+
+
+def set_observer(observer: Any) -> Any:
+    """Install the construction hook (or None); returns the previous."""
+    global _OBSERVER
+    previous, _OBSERVER = _OBSERVER, observer
+    return previous
 
 #: Process-wide count of events dispatched by every Environment, used by
 #: the perf harness to attribute events/sec to experiments that build
@@ -548,6 +562,9 @@ class Environment:
         # Events a vectorized fabric fast path elided but credited (see
         # credit_elided): counted into events_processed for bit-identity.
         self._elided = 0
+        observer = _OBSERVER
+        if observer is not None:
+            sanitize, telemetry = observer.settings(sanitize, telemetry)
         # Opt-in runtime sanitizers (credit conservation, event
         # lifecycle, write races, drain deadlocks).  `None` keeps every
         # hot-path hook to a single is-None test; see
@@ -569,6 +586,8 @@ class Environment:
             self._telemetry = telemetry
         else:
             self._telemetry = None
+        if observer is not None:
+            observer.attach(self)
 
     @property
     def now(self) -> float:

@@ -19,8 +19,8 @@ always-available, near-zero-overhead observability layer:
 * :mod:`repro.telemetry.perfetto` — Chrome trace-event export
   (loadable at https://ui.perfetto.dev) plus the schema validator CI
   runs on exported files;
-* :mod:`repro.telemetry.scenarios` — canonical instrumented runs
-  behind ``repro trace <scenario>`` and ``repro metrics <scenario>``;
+* :mod:`repro.telemetry.scenarios` — scenario runs observed through
+  a run scope (:func:`repro.experiments.runner.observe`);
 * :mod:`repro.telemetry.health` — streaming windowed series, SLO
   burn-rate alerting and anomaly detection behind ``repro health``,
   with :mod:`repro.telemetry.dashboard` rendering the static HTML

@@ -297,6 +297,9 @@ def build_report(scenario: str, recorder: CausalRecorder,
                  summary: Optional[Dict[str, Any]] = None,
                  max_transactions: int = 32) -> Dict[str, Any]:
     """Aggregate attribution + per-transaction waterfalls as JSON."""
+    if max_transactions < 0:
+        raise ValueError(
+            f"max_transactions must be >= 0, got {max_transactions}")
     transactions = collect_transactions(recorder)
     total_ns = {category: 0.0 for category in CATEGORIES}
     digests = {category: TDigest() for category in CATEGORIES}

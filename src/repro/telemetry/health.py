@@ -45,10 +45,10 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .attribution import SpanRecord, TransactionTrace
-from .causal import CATEGORIES, CausalRecorder
+from .causal import CATEGORIES
 from .core import Telemetry
 from .metrics import Counter, Gauge, Histogram
-from .sampler import DEFAULT_INTERVAL_NS, TimelineSampler
+from .sampler import DEFAULT_INTERVAL_NS
 
 __all__ = ["HealthError", "SloSpec", "HealthMonitor", "run_health",
            "default_slo_spec", "validate_health_report",
@@ -671,69 +671,45 @@ def run_health(scenario: str, policy: str = "rampup",
                spec: Optional[SloSpec] = None,
                causal_sample: int = 1,
                feedback=None):
-    """Run one scenario under the health monitor.
+    """Run one scenario in a run scope with a health profile.
 
     Returns ``(ScenarioResult, report)``.  ``policy`` selects the
     starvation scenario's credit policy (``rampup`` — the pathological
     default — or ``fair``); other scenarios accept only ``rampup``.
-
-    ``feedback`` is an optional
-    :class:`~repro.control.FeedbackPolicy`: a
-    :class:`~repro.control.ControlPlane` then rides the monitor's
-    window stream and applies matching rules through the scenario's
-    registered actuators (currently the starvation scenario's
-    ``credits.egress0``), and the report gains a ``control`` section
+    With a ``feedback`` policy a ControlPlane acts through the
+    scenario's actuators (the starvation scenario's
+    ``credits.egress0``) and the report gains a ``control`` section
     with the sim-time-stamped action log.
     """
-    for label, value in (("window_ns", window_ns),
-                         ("interval_ns", interval_ns)):
-        if not 0.0 < value < float("inf"):     # NaN fails this too
-            raise HealthError(
-                f"{label} must be finite and > 0, got {value}")
-    remainder = window_ns % interval_ns
-    if min(remainder, abs(interval_ns - remainder)) > _EPS \
-            or window_ns < interval_ns:
+    from ..experiments import registry
+    from ..experiments.defs.scenarios import starvation_build
+    from ..experiments.runner import Profile, RunContext, observe
+    from ..sim import Environment
+    try:
+        profile = Profile(telemetry=True, causal=True,
+                          causal_sample=causal_sample,
+                          interval_ns=interval_ns, window_ns=window_ns,
+                          slo=spec, feedback=feedback)
+    except ValueError as exc:
+        raise HealthError(str(exc)) from None
+    defn = registry.get(scenario, kind="scenario")
+    if feedback is not None and scenario != "starvation":
         raise HealthError(
-            f"window_ns ({window_ns}) must be a positive multiple of "
-            f"interval_ns ({interval_ns}) so window edges land on "
-            "sampler ticks")
-    from ..experiments import registry as _registry
-    from .scenarios import ScenarioResult, starvation_build
-    defn = _registry.get(scenario, kind="scenario")
-    plane = None
-    if feedback is not None:
-        if scenario != "starvation":
-            raise HealthError(
-                "feedback policies are wired for the starvation "
-                f"scenario only; {scenario!r} registers no actuators")
-        from ..control import ControlPlane
-        plane = ControlPlane(feedback)
-    if scenario == "starvation":
-        build = starvation_build(policy, plane=plane)
-    elif policy != "rampup":
+            "feedback policies are wired for the starvation "
+            f"scenario only; {scenario!r} registers no actuators")
+    if scenario != "starvation" and policy != "rampup":
         raise HealthError(
             "policy applies to the starvation scenario only; "
             f"{scenario!r} has no credit-policy knob")
-    else:
-        build = defn.scenario_build
-    telemetry = Telemetry(causal=CausalRecorder(sample=causal_sample))
-    monitor = HealthMonitor(telemetry, scenario=scenario,
-                            window_ns=window_ns, spec=spec)
-    if plane is not None:
-        plane.attach(monitor)
-    from ..sim import Environment
-    env = Environment(telemetry=telemetry)
-    TimelineSampler(env, interval_ns=interval_ns).start()
-    summary = build(env)
-    monitor.finalize(env.now)
-    result = ScenarioResult(name=scenario, env=env, telemetry=telemetry,
-                            summary=summary)
-    report = monitor.build_report(policy=policy,
-                                  interval_ns=interval_ns,
-                                  summary=summary,
-                                  control=plane.report()
-                                  if plane is not None else None)
-    return result, report
+    build = starvation_build(policy) if scenario == "starvation" else None
+    with observe(profile, name=scenario) as run:
+        summary = build(Environment()) if build is not None \
+            else defn.run(RunContext(defn.defaults(), 0))
+    result = run.result(summary)
+    control = result.plane.report() if result.plane is not None else None
+    return result, result.monitor.build_report(
+        policy=policy, interval_ns=interval_ns, summary=summary,
+        control=control)
 
 
 # --------------------------------------------------------------------------

@@ -1,56 +1,37 @@
-"""Canonical telemetry scenarios behind ``repro trace`` / ``repro metrics``.
+"""Observed scenario runs behind ``repro trace``/``metrics``/``why``.
 
-Each scenario builds a small, deterministic simulation, runs it with
-telemetry (and a :class:`~repro.telemetry.sampler.TimelineSampler`)
-attached, and returns a :class:`ScenarioResult` whose summary is a
-plain JSON-able dict.  Scenarios also run with telemetry *off* — the
-bit-identity test pins that the summary (the model-observable output)
-is unchanged either way, and the benchmark harness measures the
-off-path overhead on the same builds.
-
-The three scenarios reproduce timelines the paper discusses:
-
-* ``t2`` — the Table 2 hierarchy walk: one core touching L1 / L2 /
-  local DRAM / remote FAM, one span per level;
-* ``starvation`` — §3 CFC credit starvation (claim C5): under
-  :class:`~repro.pcie.credits.RampUpPolicy` a steadily hot flow
-  compounds its grant while a quiet flow decays to the floor, then
-  stalls hard when it finally bursts;
-* ``interleave`` — §3 difference #3 (claim C3): 64B reads degrade
-  drastically when interleaved with 16KB posted writes through a
-  credit-agnostic FIFO egress.
+The scenarios are registry experiments of ``kind="scenario"`` (see
+:mod:`repro.experiments.defs.scenarios`).  :func:`run_scenario` runs
+one in a run scope (:func:`repro.experiments.runner.observe`) and
+returns a :class:`ScenarioResult`; with ``telemetry=False`` the
+identical model runs bare.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, List, Optional
 
-from .. import params
-from ..fabric import Channel, Packet, PacketKind
-from ..infra import ClusterSpec, build_cluster
-from ..pcie.credits import (CreditDomain, RampUpPolicy,
-                            StaticEqualPolicy)
-from ..sim import Environment, run_proc
-from ..topo import compile_topology, load_shape
+from ..sim import Environment
 from .attribution import build_report
-from .causal import SERIALIZATION, CausalRecorder
-from .core import Telemetry, span
-from .sampler import DEFAULT_INTERVAL_NS, TimelineSampler
+from .causal import CausalRecorder
+from .core import Telemetry
+from .sampler import DEFAULT_INTERVAL_NS
 
-__all__ = ["ScenarioResult", "TELEMETRY_SCENARIOS",
-           "STARVATION_POLICIES", "run_scenario",
-           "run_scenario_build", "scenario_names", "starvation_build"]
+__all__ = ["ScenarioResult", "run_scenario", "scenario_names"]
 
 
 @dataclasses.dataclass
 class ScenarioResult:
-    """One scenario run: the environment, its telemetry, the summary."""
+    """One environment of an observed run: what the run scope attached
+    to it (telemetry, health monitor, feedback plane) and the summary."""
 
     name: str
     env: Environment
     telemetry: Optional[Telemetry]
-    summary: Dict[str, Any]
+    summary: Optional[Dict[str, Any]] = None
+    monitor: Any = None
+    plane: Any = None
 
     def chrome_trace(self) -> Dict[str, Any]:
         if self.telemetry is None:
@@ -80,252 +61,9 @@ class ScenarioResult:
                             max_transactions=max_transactions)
 
 
-# --------------------------------------------------------------------------
-# t2: the Table 2 hierarchy walk
-# --------------------------------------------------------------------------
-
-def _build_t2(env: Environment) -> Dict[str, Any]:
-    # The fabric comes from the committed t2_star shape (which the
-    # tests pin equal to the descriptor a ClusterSpec(hosts=1) derives).
-    cluster = build_cluster(env, ClusterSpec(
-        hosts=1, descriptor=load_shape("t2_star")))
-    host = cluster.host(0)
-    remote_base = host.remote_base("fam0")
-    hot_line = 1 << 20
-    mean_ns: Dict[str, float] = {}
-
-    def level(label: str, addrs, is_write: bool):
-        with span(env, "t2.level", track="t2", level=label,
-                  accesses=len(addrs)):
-            start = env.now
-            for addr in addrs:
-                yield from host.mem.access(addr, is_write)
-            mean_ns[label] = round((env.now - start) / len(addrs), 3)
-
-    # A 64KB set: twice the 32KB L1, well inside the 1MB L2 — after a
-    # warm pass the half evicted from L1 gives clean L2 hits.
-    l2_lines = [(3 << 20) + i * 64 for i in range(1024)]
-
-    def walk():
-        yield from host.mem.access(hot_line, False)     # warm the line
-        yield from level("l1", [hot_line] * 32, False)
-        with span(env, "t2.warm", track="t2", lines=len(l2_lines)):
-            for addr in l2_lines:
-                yield from host.mem.access(addr, False)
-        yield from level("l2", l2_lines[:256], False)
-        yield from level("local",
-                         [(2 << 20) + i * 4096 for i in range(32)], False)
-        yield from level("remote",
-                         [remote_base + i * 4096 for i in range(32)],
-                         False)
-
-    run_proc(env, walk())
-    return {"mean_ns": mean_ns,
-            "remote_vs_local":
-                round(mean_ns["remote"] / mean_ns["local"], 2)}
-
-
-# --------------------------------------------------------------------------
-# starvation: §3 CFC quiet-flow starvation under RampUpPolicy (C5)
-# --------------------------------------------------------------------------
-
-_SERIALIZE_NS = 40.0
-_WINDOW = 8
-_BURST_FLITS = 64
-
-
-#: Credit policies `repro health --policy` can swap into the
-#: starvation scenario: the pathological default vs the fair control.
-STARVATION_POLICIES: Dict[str, Callable[[], Any]] = {
-    "rampup": RampUpPolicy,
-    "fair": StaticEqualPolicy,
-}
-
-
-def starvation_build(policy: str = "rampup", plane: Any = None
-                     ) -> Callable[[Environment], Dict[str, Any]]:
-    """The starvation builder with its credit policy swapped.
-
-    ``rampup`` is the registered scenario (byte-identical to the
-    default build); ``fair`` is the control the health SLO must stay
-    quiet on — StaticEqualPolicy grants each flow budget/flows = 16
-    credits, enough for the 8-worker window, so the quiet burst never
-    stalls.  ``plane`` is an optional
-    :class:`~repro.control.ControlPlane`: the build then registers a
-    :class:`~repro.control.CreditActuator` over the egress domain so
-    feedback rules targeting ``credits.egress0`` can act.
-    """
-    if policy not in STARVATION_POLICIES:
-        raise ValueError(
-            f"unknown starvation policy {policy!r}; choose from "
-            f"{', '.join(sorted(STARVATION_POLICIES))}")
-    return lambda env: _build_starvation(env, policy=policy,
-                                         plane=plane)
-
-
-def _build_starvation(env: Environment, policy: str = "rampup",
-                      plane: Any = None) -> Dict[str, Any]:
-    domain = CreditDomain(env, budget=32,
-                          policy=STARVATION_POLICIES[policy](),
-                          rebalance_ns=2_000.0, name="egress0")
-    domain.register("hot")
-    domain.register("quiet")
-    domain.start()
-    if plane is not None:
-        from ..control import CreditActuator
-        plane.add_actuator(CreditActuator(domain))
-    stalled: Dict[str, float] = {"hot": 0.0, "quiet": 0.0}
-    tel = env.telemetry
-    causal = tel.causal if tel is not None else None
-    site_serialize = "egress0.serialize"
-
-    def worker(flow: str, remaining):
-        # One of _WINDOW pipelined issuers: the concurrency is what
-        # makes a floor-sized grant visibly starve the flow.  On causal
-        # runs each flit is a sampled transaction root: route = flow,
-        # credit waits recorded by the domain, serialization by us.
-        while remaining[0] > 0:
-            remaining[0] -= 1
-            context = causal.sample_root() if causal is not None else None
-            if context is not None:
-                causal.txn_begin(context, env.now, "flit", flow)
-            start = env.now
-            yield domain.acquire(flow, trace=context)
-            stalled[flow] += env.now - start
-            if context is not None:
-                serialize = causal.begin(context, env.now, SERIALIZATION,
-                                         site_serialize)
-            yield env.timeout(_SERIALIZE_NS)
-            if context is not None:
-                causal.end(context, env.now, serialize)
-                causal.txn_end(context, env.now)
-            domain.release(flow)
-
-    def run_flow(flow: str, flits: int):
-        remaining = [flits]
-        workers = [env.process(worker(flow, remaining))
-                   for _ in range(_WINDOW)]
-        yield env.all_of(workers)
-
-    def hot_flow():
-        with span(env, "starvation.hot_stream", track="app.hot"):
-            yield from run_flow("hot", 3000)
-
-    def quiet_flow():
-        # Idle through several rebalance periods: RampUpPolicy decays
-        # the grant to the floor.  Then burst.
-        yield env.timeout(12_000.0)
-        with span(env, "starvation.quiet_burst", track="app.quiet"):
-            start = env.now
-            yield from run_flow("quiet", _BURST_FLITS)
-            stalled["burst_ns"] = round(env.now - start, 1)
-
-    procs = [env.process(hot_flow()), env.process(quiet_flow())]
-
-    def wait():
-        yield env.all_of(procs)
-
-    run_proc(env, wait())
-    # An unstarved burst streams at the full window: the ratio is the
-    # C5 pathology the exported timeline makes visible.
-    ideal = _BURST_FLITS * _SERIALIZE_NS / _WINDOW
-    return {"quiet_stall_ns": round(stalled["quiet"], 1),
-            "quiet_burst_ns": stalled["burst_ns"],
-            "hot_stall_ns": round(stalled["hot"], 1),
-            "burst_vs_ideal": round(stalled["burst_ns"] / ideal, 2),
-            "final_grants": {name: domain.granted(name)
-                             for name in domain.flow_names()}}
-
-
-# --------------------------------------------------------------------------
-# interleave: 64B reads vs 16KB posted writes through a FIFO egress (C3)
-# --------------------------------------------------------------------------
-
-def _build_interleave(env: Environment) -> Dict[str, Any]:
-    # The committed interleave shape: reader + writer upstream of one
-    # FIFO switch, the device behind a narrow x4 link.  Compiling it
-    # is byte-identical to the historical hand-wired builder (pinned).
-    topo = compile_topology(load_shape("interleave"), env).topology
-
-    def handler(request):
-        yield env.timeout(params.FAM_ACCESS_NS)
-        if request.kind is PacketKind.IO_WR:
-            return None   # posted
-        return request.make_response()
-
-    topo.port_of("dev").serve(handler, concurrency=8)
-    dst = topo.endpoints["dev"].global_id
-    read_ns = []
-
-    def reader():
-        port = topo.port_of("reader")
-        for _ in range(24):
-            packet = Packet(kind=PacketKind.MEM_RD,
-                            channel=Channel.CXL_MEM,
-                            src=port.port_id, dst=dst, nbytes=64)
-            with span(env, "interleave.read64", track="app.reader"):
-                start = env.now
-                yield from port.request(packet)
-                read_ns.append(env.now - start)
-            yield env.timeout(300.0)
-
-    def writer():
-        port = topo.port_of("writer")
-        for _ in range(48):
-            packet = Packet(kind=PacketKind.IO_WR,
-                            channel=Channel.CXL_IO,
-                            src=port.port_id, dst=dst, nbytes=16 * 1024)
-            with span(env, "interleave.write16k", track="app.writer"):
-                yield from port.post(packet)
-
-    procs = [env.process(reader()), env.process(writer())]
-
-    def wait():
-        yield env.all_of(procs)
-
-    run_proc(env, wait())
-    return {"reads": len(read_ns),
-            "read64_mean_ns": round(sum(read_ns) / len(read_ns), 1),
-            "read64_max_ns": round(max(read_ns), 1)}
-
-
-TELEMETRY_SCENARIOS: Dict[str, Callable[[Environment], Dict[str, Any]]] = {
-    "t2": _build_t2,
-    "starvation": _build_starvation,
-    "interleave": _build_interleave,
-}
-
-
-def scenario_names():
+def scenario_names() -> List[str]:
     from ..experiments import registry
     return registry.names(kind="scenario")
-
-
-def run_scenario_build(name: str,
-                       build: Callable[[Environment], Dict[str, Any]],
-                       interval_ns: float = DEFAULT_INTERVAL_NS,
-                       telemetry: bool = True,
-                       causal: bool = False,
-                       causal_sample: int = 1) -> ScenarioResult:
-    """The scenario engine: run ``build`` under the requested tracing.
-
-    With ``telemetry=False`` the identical model runs bare — the
-    bit-identity test and the overhead benchmark both lean on this.
-    With ``causal=True`` a :class:`CausalRecorder` rides along (one
-    transaction root per ``causal_sample`` candidates); recording never
-    touches the event queue, so summaries stay bit-identical either way.
-    """
-    if causal and not telemetry:
-        raise ValueError("causal tracing needs telemetry=True")
-    instance: Any = telemetry
-    if causal:
-        instance = Telemetry(causal=CausalRecorder(sample=causal_sample))
-    env = Environment(telemetry=instance)
-    if env.telemetry is not None:
-        TimelineSampler(env, interval_ns=interval_ns).start()
-    summary = build(env)
-    return ScenarioResult(name=name, env=env, telemetry=env.telemetry,
-                          summary=summary)
 
 
 def run_scenario(name: str,
@@ -333,15 +71,20 @@ def run_scenario(name: str,
                  telemetry: bool = True,
                  causal: bool = False,
                  causal_sample: int = 1) -> ScenarioResult:
-    """Run one registered scenario; raises ValueError on unknown names.
+    """Run one registered scenario observed; ValueError on bad input.
 
     Names resolve through the experiment registry (scenario-kind
     entries), so anything registered there — including out-of-tree
     additions — is reachable from ``repro trace``/``metrics``/``why``.
+    With ``causal=True`` a causal recorder rides along (one
+    transaction root per ``causal_sample`` candidates); recording never
+    touches the event queue, so summaries stay bit-identical.
     """
     from ..experiments import registry
+    from ..experiments.runner import Profile, RunContext, observe
+    profile = Profile(telemetry=telemetry, causal=causal,
+                      causal_sample=causal_sample, interval_ns=interval_ns)
     defn = registry.get(name, kind="scenario")
-    return run_scenario_build(name, defn.scenario_build,
-                              interval_ns=interval_ns,
-                              telemetry=telemetry, causal=causal,
-                              causal_sample=causal_sample)
+    with observe(profile, name=name) as run:
+        summary = defn.run(RunContext(defn.defaults(), 0))
+    return run.result(summary)

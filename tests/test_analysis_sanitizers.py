@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis.runners import SANITIZED_EXPERIMENTS, run_sanitized
 from repro.analysis.sanitizers import RuntimeSanitizer, SanitizerError
+from repro.experiments import ExperimentSpec, run_experiment, run_summary
+from repro.experiments.runner import Profile, observe
 from repro.pcie.credits import CreditDomain
 from repro.sim import Environment, Event, Store
 
@@ -219,6 +220,109 @@ class TestWriteRace:
         assert env.sanitizer.clean
 
 
+# -- canonical sanitized workloads -----------------------------------------
+#
+# Representative slices of three experiments, each on its own
+# ``Environment(sanitize=True)`` and closed with an explicit drain
+# audit: the Table 2 walk through the full cache/fabric stack, a
+# contended CreditDomain audited at every rebalance, and reservation
+# traffic through the DP#4 FabricArbiter.
+
+
+def _run_t2():
+    from repro.infra import ClusterSpec, build_cluster
+
+    env = Environment(sanitize=True)
+    cluster = build_cluster(env, ClusterSpec(hosts=1))
+    host = cluster.host(0)
+    base = host.remote_base("fam0")
+    latencies = {}
+
+    def measure():
+        cases = [("local_read", 0x40000, False),
+                 ("local_write", 0x80000, True),
+                 ("remote_read", base + 0x40000, False),
+                 ("remote_write", base + 0x80000, True)]
+        for label, addr, is_write in cases:
+            start = env.now
+            yield from host.mem.access(addr, is_write)
+            latencies[label] = env.now - start
+
+    proc = env.process(measure(), name="t2-measure")
+    env.run(until=10_000_000, until_event=proc)
+    sanitizer = env.sanitizer
+    sanitizer.on_drain()
+    return sanitizer, {"experiment": "t2", "latencies_ns": latencies,
+                       "events": env.stats["events_processed"]}
+
+
+def _run_credits():
+    from repro.pcie.credits import RampUpPolicy
+
+    env = Environment(sanitize=True)
+    domain = CreditDomain(env, budget=32, policy=RampUpPolicy(),
+                          rebalance_ns=1_000.0, name="sanity-egress")
+    for flow in ("hot", "bursty", "quiet"):
+        domain.register(flow)
+    domain.start()
+    done = {"hot": 0, "bursty": 0, "quiet": 0}
+
+    def traffic(flow, hold_ns, gap_ns, count):
+        for _ in range(count):
+            yield domain.acquire(flow)
+            yield env.timeout(hold_ns)
+            domain.release(flow)
+            done[flow] += 1
+            if gap_ns:
+                yield env.timeout(gap_ns)
+
+    env.process(traffic("hot", 40.0, 0.0, 400), name="hot")
+    env.process(traffic("bursty", 60.0, 900.0, 40), name="bursty")
+    env.process(traffic("quiet", 50.0, 4_000.0, 10), name="quiet")
+    env.run(until=60_000.0)
+    domain.rebalance_now()
+    sanitizer = env.sanitizer
+    sanitizer.on_drain()
+    return sanitizer, {"experiment": "credits", "completed": dict(done),
+                       "grants": {f: domain.granted(f)
+                                  for f in domain.flow_names()},
+                       "events": env.stats["events_processed"]}
+
+
+def _run_arbiter():
+    from repro.core import UniFabric
+    from repro.infra import ClusterSpec, build_cluster
+    from repro.sim import run_proc
+
+    env = Environment(sanitize=True)
+    cluster = build_cluster(env, ClusterSpec(hosts=1, control_lane=True))
+    uni = UniFabric(env, cluster, with_arbiter=True)
+    domain = CreditDomain(env, budget=24, name="egress0")
+    for flow in ("a", "b"):
+        domain.register(flow)
+    uni.arbiter.manage("egress0", domain)
+    client = uni.arbiter_client("host0")
+    replies = []
+
+    def control():
+        replies.append((yield from client.reserve("egress0", "a", 8)))
+        replies.append((yield from client.reserve("egress0", "b", 4)))
+        replies.append((yield from client.query("egress0")))
+        replies.append((yield from client.reclaim("egress0", "a")))
+
+    run_proc(env, control())
+    sanitizer = env.sanitizer
+    sanitizer.on_drain()
+    return sanitizer, {"experiment": "arbiter",
+                       "control_messages": uni.arbiter.control_messages,
+                       "grants": replies[2].get("grants", {}),
+                       "events": env.stats["events_processed"]}
+
+
+CANONICAL_RUNNERS = {"t2": _run_t2, "credits": _run_credits,
+                     "arbiter": _run_arbiter}
+
+
 class TestDeterminismAndRunners:
     def _trace(self, sanitize):
         env = Environment(sanitize=sanitize)
@@ -246,13 +350,30 @@ class TestDeterminismAndRunners:
         assert plain == checked
         assert plain_events == checked_events
 
-    @pytest.mark.parametrize("name", sorted(SANITIZED_EXPERIMENTS))
+    @pytest.mark.parametrize("name", sorted(CANONICAL_RUNNERS))
     def test_canonical_runners_are_clean(self, name):
-        sanitizer, summary = run_sanitized(name)
+        sanitizer, summary = CANONICAL_RUNNERS[name]()
         assert sanitizer.clean, sanitizer.report()
         assert summary["experiment"] == name
         assert summary["events"] > 0
 
     def test_unknown_runner_raises(self):
-        with pytest.raises(ValueError):
-            run_sanitized("nope")
+        with pytest.raises(ValueError, match="unknown experiment"):
+            with observe(Profile(sanitize=True)):
+                run_experiment(ExperimentSpec(experiment="nope"))
+
+    @pytest.mark.parametrize("name", ["control_loop", "interleave",
+                                      "starvation", "t2"])
+    def test_sanitize_profile_changes_nothing(self, name):
+        # Every environment the experiment builds, nested run_health
+        # scopes included, is sanitized, and none computes differently.
+        runs = {}
+        for sanitize in (False, True):
+            with observe(Profile(sanitize=sanitize)) as run:
+                summary = run_summary(name)
+            runs[sanitize] = (summary,
+                              [env.stats["events_processed"]
+                               for env in run.envs],
+                              [env.sanitize for env in run.envs])
+        assert runs[True][:2] == runs[False][:2]
+        assert all(runs[True][2]) and not any(runs[False][2])

@@ -35,8 +35,10 @@ from repro.sim import Environment
 from repro.sim.engine import batch_default, set_batch_default
 from repro.telemetry import CausalRecorder, Telemetry, TimelineSampler
 from repro.telemetry.health import run_health
-from repro.telemetry.scenarios import (TELEMETRY_SCENARIOS,
-                                       run_scenario_build)
+from repro.telemetry.scenarios import run_scenario
+
+#: The registry's scenario-kind experiments.
+SCENARIOS = ("interleave", "starvation", "t2")
 
 np = pytest.importorskip("numpy")
 
@@ -51,13 +53,12 @@ def _restore_batch_default():
 # -- telemetry scenarios: summaries and event counts ---------------------
 
 
-@pytest.mark.parametrize("name", sorted(TELEMETRY_SCENARIOS))
+@pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_bit_identical_batch_on_off(name):
-    build = TELEMETRY_SCENARIOS[name]
     results = {}
     for batch in (False, True):
         set_batch_default(batch)
-        res = run_scenario_build(name, build, telemetry=False)
+        res = run_scenario(name, telemetry=False)
         results[batch] = (res.summary, res.env._events_processed,
                           res.env.now, res.env.stats["events_elided"])
     assert results[True][:3] == results[False][:3]
@@ -69,8 +70,7 @@ def test_interleave_fast_paths_actually_engage():
     # the interleave scenario must take both the credit-return fast
     # path and the egress sweep (a sizeable slice of all its events).
     set_batch_default(True)
-    res = run_scenario_build("interleave", TELEMETRY_SCENARIOS["interleave"],
-                             telemetry=False)
+    res = run_scenario("interleave", telemetry=False)
     stats = res.env.stats
     assert stats["events_elided"] > stats["events_processed"] * 0.1
 
@@ -98,8 +98,7 @@ def _observed(name, mode, batch, feedback=False):
             res, report = run_health(name, feedback=policy)
             docs["health"] = report
         else:
-            res = run_scenario_build(name, TELEMETRY_SCENARIOS[name],
-                                     causal=mode == "causal")
+            res = run_scenario(name, causal=mode == "causal")
         if mode != "telemetry":
             docs["why"] = res.attribution_report()
         docs["summary"] = res.summary
@@ -113,7 +112,7 @@ def _observed(name, mode, batch, feedback=False):
 
 
 @pytest.mark.parametrize("mode", OBSERVED_MODES)
-@pytest.mark.parametrize("name", sorted(TELEMETRY_SCENARIOS))
+@pytest.mark.parametrize("name", SCENARIOS)
 def test_observed_scenario_documents_bit_identical(name, mode):
     scalar = _observed(name, mode, False)
     batched = _observed(name, mode, True)

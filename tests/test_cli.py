@@ -95,6 +95,63 @@ class TestMetricsCli:
         assert "unknown scenario" in capsys.readouterr().err
 
 
+class TestWhyCli:
+    def test_why_negative_limit_exits_two(self, capsys):
+        # A negative limit used to slice off the last transaction.
+        assert main(["why", "--scenario", "t2", "--limit", "-1"]) == 2
+        assert "--limit" in capsys.readouterr().err
+
+
+class TestObservationSettingsCli:
+    """Observation settings are validated once, before anything runs."""
+
+    @pytest.mark.parametrize("command", [
+        ["trace", "t2", "--out", "unused.json"],
+        ["metrics", "t2"],
+        ["why", "--scenario", "t2"],
+    ])
+    def test_infinite_interval_exits_two(self, command, capsys):
+        # An infinite interval used to run with a sampler that never
+        # ticked: fewer kernel events and an empty timeline.
+        assert main(command + ["--interval", "inf"]) == 2
+        assert "interval_ns must be finite" in capsys.readouterr().err
+
+    def test_bench_nan_interval_exits_two(self, capsys):
+        # Used to print "interval_ns": NaN, which is not JSON.
+        assert main(["bench", "t2", "--set", "interval_ns=nan",
+                     "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "interval_ns must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_bench_negative_causal_sample_exits_two(self, capsys):
+        # Summary-only runs build no recorder, so nothing caught it.
+        assert main(["bench", "t2", "--set", "causal_sample=-4"]) == 2
+        assert "causal_sample must be an integer >= 1" \
+            in capsys.readouterr().err
+
+
+class TestCheckSanitizeCli:
+    def test_sanitize_audits_every_inner_environment(self, capsys):
+        # control_loop runs run_health twice; both nested run scopes
+        # inherit the sanitizer.
+        assert main(["check", "--sanitize", "control_loop",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tool"] == "fcc-sanitize"
+        assert payload["experiment"] == "control_loop"
+        assert payload["environments"] == 2
+        assert payload["count"] == 0 and payload["findings"] == []
+        assert set(payload["summary"]["cases"]) == {"static",
+                                                    "closed-loop"}
+
+    def test_sanitize_unknown_name_lists_the_registry(self, capsys):
+        assert main(["check", "--sanitize", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'nope'" in err
+        assert "xswitch_starvation" in err and "t2" in err
+
+
 class TestHealthCli:
     def test_health_json_is_schema_valid(self, capsys):
         from repro.telemetry import validate_health_report

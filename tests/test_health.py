@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.experiments.defs.scenarios import starvation_build
 from repro.sim import Environment
 from repro.telemetry import (
     CausalRecorder,
@@ -23,7 +24,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.attribution import collect_transactions
 from repro.telemetry.causal import CATEGORIES
-from repro.telemetry.scenarios import run_scenario, starvation_build
+from repro.telemetry.scenarios import run_scenario
 
 #: The golden-pinned §3 C5 alert edge: quiet flow bursts at 12,000 ns,
 #: the first whole window containing its stall closes at 14,000 ns.

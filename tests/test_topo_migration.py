@@ -18,6 +18,8 @@ import json
 from typing import Any, Dict
 
 from repro import params
+from repro.experiments import RunContext, get
+from repro.experiments.runner import Profile, observe
 from repro.fabric import Channel, Packet, PacketKind
 from repro.infra.chassis import FamChassis
 from repro.infra.host import HostServer
@@ -26,10 +28,6 @@ from repro.mem.nodes import CpulessExpander
 from repro.pcie import FabricManager, PortRole, Topology
 from repro.sim import Environment, run_proc
 from repro.telemetry.core import span
-from repro.telemetry.scenarios import (
-    TELEMETRY_SCENARIOS,
-    run_scenario_build,
-)
 
 
 # --------------------------------------------------------------------------
@@ -150,9 +148,15 @@ def _legacy_build_interleave(env: Environment) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def _documents(name, build) -> Dict[str, str]:
-    """Every output document of one scenario run, as canonical JSON."""
-    result = run_scenario_build(name, build, causal=True)
+def _documents(name, model) -> Dict[str, str]:
+    """Every output document of one scenario run, as canonical JSON.
+
+    ``model()`` builds its own environment and returns the summary;
+    the run scope observes it.
+    """
+    with observe(Profile(telemetry=True, causal=True), name=name) as run:
+        summary = model()
+    result = run.result(summary)
     return {
         "summary": json.dumps(result.summary, sort_keys=True),
         "chrome_trace": json.dumps(result.chrome_trace(),
@@ -164,9 +168,14 @@ def _documents(name, build) -> Dict[str, str]:
     }
 
 
+def _registered(name):
+    defn = get(name, kind="scenario")
+    return lambda: defn.run(RunContext(defn.defaults(), 0))
+
+
 def _assert_identical(name, legacy_build):
-    migrated = _documents(name, TELEMETRY_SCENARIOS[name])
-    legacy = _documents(name, legacy_build)
+    migrated = _documents(name, _registered(name))
+    legacy = _documents(name, lambda: legacy_build(Environment()))
     for document in ("summary", "chrome_trace", "metrics",
                      "attribution"):
         assert migrated[document] == legacy[document], \
@@ -183,6 +192,6 @@ def test_interleave_scenario_bit_identical_to_hand_wired_builder():
 
 def test_starvation_scenario_is_run_stable():
     # No fabric topology to migrate; pin determinism run-to-run.
-    one = _documents("starvation", TELEMETRY_SCENARIOS["starvation"])
-    two = _documents("starvation", TELEMETRY_SCENARIOS["starvation"])
+    one = _documents("starvation", _registered("starvation"))
+    two = _documents("starvation", _registered("starvation"))
     assert one == two
